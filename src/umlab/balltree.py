@@ -118,13 +118,13 @@ def from_ball_tree(t: BallTree) -> FiniteMetric:
     return FiniteMetric(n, tuple(tuple(row) for row in rows))
 
 
-def to_ball_tree(m: FiniteMetric, ids: list[str] | None = None) -> BallTree:
+def to_ball_tree(m: FiniteMetric) -> BallTree:
     """Cluster a validated ultrametric matrix into its canonical ball tree.
 
-    Raises NotUltrametricError (with a witness triple) otherwise.
-    Degenerate levels collapse automatically: an internal node is only
-    created where a distance is actually realized, so no node ever has a
-    single child.
+    Point i becomes the leaf named str(i).  Raises NotUltrametricError
+    (with a witness triple) otherwise.  Degenerate levels collapse
+    automatically: an internal node is only created where a distance is
+    actually realized, so no node ever has a single child.
     """
     report = validate(m.rows)
     if not report.is_ultrametric:
@@ -134,12 +134,10 @@ def to_ball_tree(m: FiniteMetric, ids: list[str] | None = None) -> BallTree:
             + (f" (witness triple {witness})" if witness else ""),
             witness,
         )
-    if ids is None:
-        ids = [str(i) for i in range(m.n)]
 
     def build(points: list[int]) -> BallTree:
         if len(points) == 1:
-            return leaf(ids[points[0]])
+            return leaf(str(points[0]))
         radius = max(m.rows[i][j] for i in points for j in points)
         # d < radius is an equivalence on `points`: group by class.
         groups: list[list[int]] = []
@@ -169,21 +167,47 @@ def realized_of_tree(t: BallTree) -> DistanceSet:
     return DistanceSet.from_values(labels)
 
 
+def chain(values, prefix: str = "") -> BallTree:
+    """The space on increasing values with d(r, r') = max(r, r'): the
+    left-combed chain peeling off the maximum at each level.
+
+    The point of value r is named prefix + r.
+    """
+    values = list(values)
+    t = leaf(prefix + format_rational(values[0]))
+    for v in values[1:]:
+        t = internal(v, (t, leaf(prefix + format_rational(v))))
+    return t
+
+
 def canonical_space(ds: DistanceSet) -> BallTree:
     """The space on the set itself, with d(r, r') = max(r, r').
 
-    Realizes exactly the given distances; its ball tree is the
-    left-combed chain peeling off the maximum at each level.
+    Realizes exactly the given distances.
     """
-    values = list(ds.values)
+    return canonicalize(chain(ds.values))
 
-    def build(vals: list[Fraction]) -> BallTree:
-        if len(vals) == 1:
-            return leaf(format_rational(vals[0]))
-        top = vals[-1]
-        return internal(top, (build(vals[:-1]), leaf(format_rational(top))))
 
-    return canonicalize(build(values))
+def matching_exists(xs, ys, fits) -> bool:
+    """Whether every x can be matched to a distinct y with fits(x, y).
+
+    Kuhn's augmenting paths; fits is evaluated lazily, pair by pair.
+    """
+    if len(xs) > len(ys):
+        return False
+    match_of: list[int | None] = [None] * len(ys)
+
+    def augment(xi: int, seen: list[bool]) -> bool:
+        for yi in range(len(ys)):
+            if seen[yi] or not fits(xs[xi], ys[yi]):
+                continue
+            seen[yi] = True
+            if match_of[yi] is None or augment(match_of[yi], seen):
+                match_of[yi] = xi
+                return True
+        return False
+
+    return all(augment(xi, [False] * len(ys)) for xi in range(len(xs)))
 
 
 def embeds(a: BallTree, b: BallTree) -> bool:
@@ -215,28 +239,10 @@ def embeds(a: BallTree, b: BallTree) -> bool:
         if cached is not None:
             return cached
         result = any(
-            w.label == x.label and _children_match(x.children, w.children)
+            w.label == x.label and matching_exists(x.children, w.children, can_embed)
             for w in internal_nodes_within[id(v)]
         )
         memo[key] = result
         return result
-
-    def _children_match(xs: tuple[BallTree, ...], ws: tuple[BallTree, ...]) -> bool:
-        if len(xs) > len(ws):
-            return False
-        # Kuhn's augmenting-path matching; instances are tiny.
-        match_of_w: list[int | None] = [None] * len(ws)
-
-        def augment(xi: int, seen: list[bool]) -> bool:
-            for wi in range(len(ws)):
-                if seen[wi] or not can_embed(xs[xi], ws[wi]):
-                    continue
-                seen[wi] = True
-                if match_of_w[wi] is None or augment(match_of_w[wi], seen):
-                    match_of_w[wi] = xi
-                    return True
-            return False
-
-        return all(augment(xi, [False] * len(ws)) for xi in range(len(xs)))
 
     return can_embed(a, b)

@@ -18,7 +18,7 @@ from . import io as uio
 from . import metric as mt
 from . import qo
 from . import reduce as red
-from .errors import UmlabError
+from .errors import InputError, UmlabError
 from .metric import DistanceSet
 from .rationals import format_rational, parse_rational
 
@@ -293,9 +293,12 @@ def _reduce(args, fmt: str) -> int:
 
 def _write_or_emit(doc: dict, out_path: str | None, fmt: str) -> int:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, sort_keys=True)
+                handle.write("\n")
+        except OSError as exc:
+            raise InputError(f"--out {out_path}: {exc.strerror or exc}") from exc
     else:
         _emit(doc, fmt)
     return 0

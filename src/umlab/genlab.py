@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -394,6 +394,12 @@ class Bounds:
     max_nodes: int | None = None
     max_points: int | None = None
     max_support: int | None = None
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and value < 1:
+                raise InputError(f"{f.name} must be at least 1, got {value}")
 
     def nodes(self, default: int) -> int:
         return self.max_nodes if self.max_nodes is not None else default

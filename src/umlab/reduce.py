@@ -1,9 +1,11 @@
 """The finitary reduction constructions, with brute-force counterparts.
 
-Every transformation here turns a combinatorial object (rooted tree,
-graph, list of spaces, distance subset) into a finite metric space, and
-is paired by the verification campaigns with the preserve/reflect law
-it must satisfy against brute-force oracles.
+Every transformation here sends a combinatorial object (rooted tree,
+list of spaces, distance subset) to an ultrametric space and builds its
+ball tree directly, by grafting and relabelling balls; only the graph
+encoding, which is not ultrametric, yields a distance matrix.  Each is
+paired by the verification campaigns with the preserve/reflect law it
+must satisfy against brute-force oracles.
 
 Fresh points added by a construction get identifiers starting with "*";
 that prefix is reserved and rejected for user-supplied point ids.
@@ -20,13 +22,12 @@ from .balltree import (
     canonical_code,
     canonical_space,
     canonicalize,
+    chain,
     embeds,
-    from_ball_tree,
     internal,
     leaf,
-    leaves,
+    matching_exists,
     realized_of_tree,
-    to_ball_tree,
 )
 from .errors import InputError
 from .metric import DistanceSet, FiniteMetric
@@ -138,27 +139,9 @@ def rooted_tree_embeds(g: RootedTree, h: RootedTree) -> bool:
 
     def can(u: int, v: int) -> bool:
         key = (u, v)
-        if key in memo:
-            return memo[key]
-        cu, cv = gk[u], hk[v]
-        if len(cu) > len(cv):
-            memo[key] = False
-            return False
-        match_of: list[int | None] = [None] * len(cv)
-
-        def augment(xi: int, seen: list[bool]) -> bool:
-            for wi in range(len(cv)):
-                if seen[wi] or not can(cu[xi], cv[wi]):
-                    continue
-                seen[wi] = True
-                if match_of[wi] is None or augment(match_of[wi], seen):
-                    match_of[wi] = xi
-                    return True
-            return False
-
-        ok = all(augment(xi, [False] * len(cv)) for xi in range(len(cu)))
-        memo[key] = ok
-        return ok
+        if key not in memo:
+            memo[key] = matching_exists(gk[u], hk[v], can)
+        return memo[key]
 
     return can(0, 0)
 
@@ -205,6 +188,21 @@ def _brute_tree_injection(g: RootedTree, h: RootedTree) -> bool:
 # Tree-to-space constructions.
 # ---------------------------------------------------------------------------
 
+def _tree_space(t: RootedTree, labels, ids) -> BallTree:
+    """The ball tree of a tree encoding: a node i with children is the
+    ball labelled labels[i] holding i itself and its children's balls.
+
+    labels must strictly decrease from parent to child.  Nodes are
+    visited children first (parents[i] < i), without recursion.
+    """
+    kids = t.children()
+    balls: list[BallTree] = [leaf(p) for p in ids]
+    for i in range(t.n - 1, -1, -1):
+        if kids[i]:
+            balls[i] = internal(labels[i], [balls[i]] + [balls[c] for c in kids[i]])
+    return canonicalize(balls[0])
+
+
 def tree_ultrametric(t: RootedTree, radii) -> BallTree:
     """The space on the nodes of t with d(s, u) = radii[depth of their
     deepest common ancestor]; radii must be strictly decreasing.
@@ -213,33 +211,11 @@ def tree_ultrametric(t: RootedTree, radii) -> BallTree:
     equals the radius at its own depth.
     """
     radii = check_decreasing(radii)
-    depths = t.depths()
     if len(radii) < t.depth() + 1:
         raise InputError(
             f"need at least {t.depth() + 1} radii for a tree of depth {t.depth()}"
         )
-    if t.n == 1:
-        return leaf("0")
-    anc = _ancestor_table(t)
-
-    def lca_depth(i: int, j: int) -> int:
-        common = anc[i] & anc[j]
-        return max(depths[k] for k in common)
-
-    rows = [
-        [Fraction(0) if i == j else radii[lca_depth(i, j)] for j in range(t.n)]
-        for i in range(t.n)
-    ]
-    return to_ball_tree(FiniteMetric(t.n, tuple(tuple(r) for r in rows)),
-                        [str(i) for i in range(t.n)])
-
-
-def _ancestor_table(t: RootedTree) -> list[set[int]]:
-    anc: list[set[int]] = [set() for _ in range(t.n)]
-    anc[0] = {0}
-    for i in range(1, t.n):
-        anc[i] = anc[t.parents[i]] | {i}
-    return anc
+    return _tree_space(t, [radii[d] for d in t.depths()], [str(i) for i in range(t.n)])
 
 
 def rank_extend(t: RootedTree) -> tuple[RootedTree, list[int]]:
@@ -249,12 +225,7 @@ def rank_extend(t: RootedTree) -> tuple[RootedTree, list[int]]:
     exactly one.
     """
     kids = t.children()
-    parents = list(t.parents)
-    added = []
-    for i in range(t.n):
-        if not kids[i]:
-            added.append(i)
-            parents.append(i)
+    parents = list(t.parents) + [i for i in range(t.n) if not kids[i]]
     extended = RootedTree(tuple(parents))
     return extended, extended.ranks()
 
@@ -277,28 +248,31 @@ def rank_ultrametric(t: RootedTree, radii) -> BallTree:
             f"need more than {t.rank() + 1} radii for a tree of rank {t.rank()}"
         )
     extended, ranks = rank_extend(t)
-    anc = _ancestor_table(extended)
-    depths = extended.depths()
-
-    def lca(i: int, j: int) -> int:
-        common = anc[i] & anc[j]
-        return max(common, key=lambda k: depths[k])
-
-    n = extended.n
-    rows = [
-        [Fraction(0) if i == j else radii[ranks[lca(i, j)]] for j in range(n)]
-        for i in range(n)
-    ]
-    ids = [str(i) if i < t.n else f"*{i}" for i in range(n)]
-    return to_ball_tree(FiniteMetric(n, tuple(tuple(r) for r in rows)), ids)
+    ids = [str(i) if i < t.n else f"*{i}" for i in range(extended.n)]
+    return _tree_space(extended, [radii[r] for r in ranks], ids)
 
 
 # ---------------------------------------------------------------------------
 # Space surgery: gluing, tails, unions, decompositions.
 # ---------------------------------------------------------------------------
 
-def _tree_matrix_ids(t: BallTree) -> tuple[FiniteMetric, list[str]]:
-    return from_ball_tree(t), leaves(t)
+def _node(label: Fraction, children) -> BallTree:
+    """internal(label, children), with every child whose root already
+    carries label spliced in: it is the same ball one level down."""
+    kids: list[BallTree] = []
+    for c in children:
+        if not c.is_leaf and c.label == label:
+            kids.extend(c.children)
+        else:
+            kids.append(c)
+    return internal(label, kids)
+
+
+def _realized_within(t: BallTree, ds: DistanceSet) -> DistanceSet:
+    realized = realized_of_tree(t)
+    if any(v not in ds for v in realized):
+        raise InputError("distances of the space must lie in the distance set")
+    return realized
 
 
 def glue_canonical(u: BallTree, ds: DistanceSet, rbar: Fraction) -> BallTree:
@@ -314,27 +288,15 @@ def glue_canonical(u: BallTree, ds: DistanceSet, rbar: Fraction) -> BallTree:
         raise InputError("glue needs a distance set with at least 2 values")
     if rbar not in ds:
         raise InputError("rbar must belong to the distance set")
-    realized = realized_of_tree(u)
-    if any(v not in ds for v in realized):
-        raise InputError("distances of the space must lie in the distance set")
+    realized = _realized_within(u, ds)
     if realized.positive and max(realized.positive) >= rbar:
         raise InputError("rbar must exceed every distance of the space")
-    removed = ds.positive[0]
-    tail_values = [v for v in ds.values if v != removed]
-    m, ids = _tree_matrix_ids(u)
-    n = m.n + len(tail_values)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m.n):
-        for j in range(m.n):
-            rows[i][j] = m.rows[i][j]
-    for ti, v in enumerate(tail_values):
-        for tj, w in enumerate(tail_values):
-            if v != w:
-                rows[m.n + ti][m.n + tj] = max(v, w)
-        for i in range(m.n):
-            rows[i][m.n + ti] = rows[m.n + ti][i] = max(rbar, v)
-    all_ids = ids + [f"*{format_rational(v)}" for v in tail_values]
-    return to_ball_tree(FiniteMetric(n, tuple(tuple(r) for r in rows)), all_ids)
+    tail = [v for v in ds.values if v != ds.positive[0]]
+    out = _node(rbar, (u, chain([v for v in tail if v <= rbar], "*")))
+    for v in tail:  # each tail value above rbar is peeled off the rest on top
+        if v > rbar:
+            out = internal(v, (out, leaf(f"*{format_rational(v)}")))
+    return canonicalize(out)
 
 
 def add_tail(x: BallTree, ds: DistanceSet) -> BallTree:
@@ -345,25 +307,8 @@ def add_tail(x: BallTree, ds: DistanceSet) -> BallTree:
     """
     if len(ds) < 2:
         raise InputError("tail needs a distance set with at least 2 values")
-    top = ds.positive[-1]
-    realized = realized_of_tree(x)
-    if any(v not in ds for v in realized):
-        raise InputError("distances of the space must lie in the distance set")
-    tail_values = list(ds.values[:-1])
-    m, ids = _tree_matrix_ids(x)
-    n = m.n + len(tail_values)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(m.n):
-        for j in range(m.n):
-            rows[i][j] = m.rows[i][j]
-    for ti, v in enumerate(tail_values):
-        for tj, w in enumerate(tail_values):
-            if v != w:
-                rows[m.n + ti][m.n + tj] = max(v, w)
-        for i in range(m.n):
-            rows[i][m.n + ti] = rows[m.n + ti][i] = top
-    all_ids = ids + [f"*{format_rational(v)}" for v in tail_values]
-    return to_ball_tree(FiniteMetric(n, tuple(tuple(r) for r in rows)), all_ids)
+    _realized_within(x, ds)
+    return canonicalize(_node(ds.positive[-1], (x, chain(ds.values[:-1], "*"))))
 
 
 def union_at_distance(spaces, r: Fraction) -> BallTree:
@@ -405,29 +350,12 @@ def decompose_space(x: BallTree, ds: DistanceSet) -> list[BallTree]:
     """
     if len(ds) < 3:
         raise InputError("decompose needs a distance set with at least 3 values")
-    top = ds.positive[-1]
-    second = ds.positive[-2]
-    realized = realized_of_tree(x)
-    if any(v not in ds for v in realized):
-        raise InputError("distances of the space must lie in the distance set")
-    if not x.is_leaf and x.label == top:
-        classes = list(x.children)
-    else:
-        classes = [x]
-    out = []
-    for k, cls in enumerate(classes):
-        m, ids = _tree_matrix_ids(cls)
-        n = m.n + 1
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(m.n):
-            for j in range(m.n):
-                rows[i][j] = m.rows[i][j]
-        for i in range(m.n):
-            rows[i][m.n] = rows[m.n][i] = second
-        out.append(
-            to_ball_tree(FiniteMetric(n, tuple(tuple(r) for r in rows)), ids + [f"*{k}"])
-        )
-    return out
+    top, second = ds.positive[-1], ds.positive[-2]
+    _realized_within(x, ds)
+    classes = x.children if not x.is_leaf and x.label == top else (x,)
+    return [
+        canonicalize(_node(second, (c, leaf(f"*{k}")))) for k, c in enumerate(classes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -517,23 +445,7 @@ def subset_space(values) -> BallTree:
 
 def list_embeds(xs, ys) -> bool:
     """Injective matching of xs into ys where each pair must embed."""
-    xs, ys = list(xs), list(ys)
-    if len(xs) > len(ys):
-        return False
-    edges = [[embeds(x, y) for y in ys] for x in xs]
-    match_of: list[int | None] = [None] * len(ys)
-
-    def augment(xi: int, seen: list[bool]) -> bool:
-        for yi in range(len(ys)):
-            if seen[yi] or not edges[xi][yi]:
-                continue
-            seen[yi] = True
-            if match_of[yi] is None or augment(match_of[yi], seen):
-                match_of[yi] = xi
-                return True
-        return False
-
-    return all(augment(xi, [False] * len(ys)) for xi in range(len(xs)))
+    return matching_exists(list(xs), list(ys), embeds)
 
 
 def list_isometric(xs, ys) -> bool:

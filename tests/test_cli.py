@@ -3,6 +3,7 @@ import json
 import pytest
 
 from umlab.cli import main
+from umlab.genlab import property_names
 
 MATRIX_2PT = {"kind": "matrix", "matrix": [["0", "1"], ["1", "0"]]}
 TREE_2PT = {
@@ -145,6 +146,14 @@ def test_reduce_theta_and_rank(files, tmp_path, capsys):
     assert json.loads(out)["tree"]["label"] == "2"
 
 
+def test_reduce_out_unwritable_exit_2(files, tmp_path, capsys):
+    tree = files("t.json", {"parents": [None, 0]})
+    missing = str(tmp_path / "nodir" / "x.json")
+    code, out, err = run(capsys, "reduce", "theta", tree, "--radii", "2,1", "--out", missing)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out ") and "nodir" in err
+
+
 def test_reduce_glue_tail_phi_decompose(files, capsys):
     a = files("a.json", MATRIX_2PT)
     code, out, _ = run(
@@ -194,6 +203,14 @@ def test_verify_campaign(files, capsys):
     doc = json.loads(out)
     assert doc["property"] == "theta-iso"
     assert doc["trials"] == 500 and doc["pass"] is True and doc["failures"] == []
+
+
+@pytest.mark.parametrize("flag", ["--max-nodes", "--max-points", "--max-support"])
+def test_verify_bound_below_one_exit_2(flag, capsys):
+    for prop in property_names():
+        code, out, err = run(capsys, "verify", prop, "--trials", "20", flag, "0")
+        assert code == 2 and out == "", prop
+        assert err.startswith("error: ") and "at least 1" in err, prop
 
 
 def test_verify_unknown_property(capsys):

@@ -17,6 +17,7 @@ from umlab.balltree import (
 from umlab.errors import InputError
 from umlab.genlab import gen_ball_tree, gen_tree, mutate_pair
 from umlab.metric import DistanceSet, validate
+from umlab.rationals import format_rational
 from umlab.reduce import (
     Graph,
     RootedTree,
@@ -308,6 +309,122 @@ def test_union_matching_law():
         ux, uy = union_at_distance(xs, F(2)), union_at_distance(ys, F(2))
         assert list_embeds(xs, ys) == embeds(ux, uy)
         assert list_isometric(xs, ys) == isometric(ux, uy)
+
+
+# ---------------------------------------------------------------------------
+# Every construction against its defining distance formula.
+# ---------------------------------------------------------------------------
+
+def _assert_space(out, ids, dist):
+    """out has exactly the points ids, at distances dist(a, b)."""
+    names = leaves(out)
+    assert sorted(names) == sorted(ids)
+    m = from_ball_tree(out)
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            assert m.rows[i][j] == (0 if a == b else dist(a, b)), (a, b)
+
+
+def _distances(t):
+    names = leaves(t)
+    m = from_ball_tree(t)
+    return {(a, b): m.rows[i][j] for i, a in enumerate(names) for j, b in enumerate(names)}
+
+
+def _lca(parents, i, j):
+    path = [i]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    while j not in path:
+        j = parents[j]
+    return j
+
+
+def _point(name):
+    """(whether name is a fresh tail point, its value)."""
+    return (True, F(name[1:])) if name.startswith("*") else (False, None)
+
+
+def test_constructions_match_their_formulas():
+    rng = random.Random(101)
+    ds = DistanceSet.from_values([F(1), F(2), F(3), F(5)])
+    top, second = F(5), F(3)
+    seen = set()
+    for trial in range(80):
+        # theta: radii at the depth of the deepest common ancestor
+        t = gen_tree(rng.getrandbits(64), 9)
+        depths = t.depths()
+        radii = [F(2 * t.depth() + 1 - 2 * k, 3) for k in range(t.depth() + 1)]
+        _assert_space(
+            tree_ultrametric(t, radii),
+            [str(i) for i in range(t.n)],
+            lambda a, b: radii[depths[_lca(t.parents, int(a), int(b))]],
+        )
+
+        # rank: one fresh child under each leaf, radii at the common ancestor's rank
+        parents = list(t.parents) + [i for i in range(t.n) if i not in t.parents]
+        height = [0] * len(parents)
+        for i in range(len(parents) - 1, 0, -1):
+            height[parents[i]] = max(height[parents[i]], height[i] + 1)
+        radii = [F(k * k, 2) for k in range(height[0] + 1)]
+        _assert_space(
+            rank_ultrametric(t, radii),
+            [str(i) for i in range(t.n)] + [f"*{j}" for j in range(t.n, len(parents))],
+            lambda a, b: radii[height[_lca(parents, int(a.lstrip("*")), int(b.lstrip("*")))]],
+        )
+
+        # glue: the tail is ds without its least positive value, cross max(rbar, v)
+        rbar = ds.positive[trial % 4]
+        u = gen_ball_tree(rng.getrandbits(64), DistanceSet.from_values(
+            [v for v in ds.positive if v < rbar]), 5) if rbar > 1 else leaf("p")
+        du, tail = _distances(u), [v for v in ds.values if v != F(1)]
+
+        def glued(a, b):
+            (ta, va), (tb, vb) = _point(a), _point(b)
+            if ta and tb:
+                return max(va, vb)
+            if ta or tb:
+                return max(rbar, va if ta else vb)
+            return du[a, b]
+
+        _assert_space(glue_canonical(u, ds, rbar),
+                      leaves(u) + [f"*{format_rational(v)}" for v in tail], glued)
+        seen.add("rbar least" if rbar == ds.positive[0] else "rbar above")
+
+        # tail: the canonical space on ds minus its maximum, cross distance top
+        x = gen_ball_tree(rng.getrandbits(64), ds, 6)
+        dx = _distances(x)
+
+        def tailed(a, b):
+            (ta, va), (tb, vb) = _point(a), _point(b)
+            if ta and tb:
+                return max(va, vb)
+            return top if ta or tb else dx[a, b]
+
+        _assert_space(add_tail(x, ds),
+                      leaves(x) + [f"*{format_rational(v)}" for v in ds.values[:-1]], tailed)
+        seen.add("leaf input" if x.is_leaf else "internal input")
+
+        # decompose: the classes of d < top, each marked at distance second
+        classes: list[list[str]] = []
+        for a in leaves(x):
+            home = next((c for c in classes if dx[a, c[0]] < top), None)
+            if home is None:
+                classes.append([a])
+            else:
+                home.append(a)
+        parts = decompose_space(x, ds)
+        assert len(parts) == len(classes)
+        got = set()
+        for k, part in enumerate(parts):
+            members = [a for a in leaves(part) if a != f"*{k}"]
+            got.add(frozenset(members))
+            _assert_space(part, members + [f"*{k}"],
+                          lambda a, b: second if "*" in a + b else dx[a, b])
+            if any(dx[a, b] == second for a in members for b in members):
+                seen.add("class at second")
+        assert got == {frozenset(c) for c in classes}
+    assert seen == {"rbar least", "rbar above", "leaf input", "internal input", "class at second"}
 
 
 # ---------------------------------------------------------------------------
