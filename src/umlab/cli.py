@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     except UmlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

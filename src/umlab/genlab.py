@@ -8,6 +8,15 @@ failing trial can be replayed verbatim from the report.
 Negative test instances are manufactured by mutation rather than
 rejection sampling: independent random pairs are almost always
 negative and would under-test the positive path.
+
+A property is a generator of checks.  It draws its instance, names
+every input in one `inputs` dict, and yields `_holds(...)` or
+`_agree(...)` for each check: None when the check holds, else a
+`Failure` that serializes all of `inputs`.  The runner stops a trial at
+its first failure.  The order of the random draws is frozen, since
+existing seeds must keep replaying the same instances, and umlab
+functions are looked up through their modules when the property runs,
+so that patched module attributes take effect.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -419,12 +428,7 @@ class Failure:
     got: str
 
     def to_doc(self) -> dict:
-        return {
-            "trial": self.trial,
-            "inputs": self.inputs,
-            "expected": self.expected,
-            "got": self.got,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -468,7 +472,9 @@ def property_names() -> list[str]:
 def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -> CampaignReport:
     """Run a registered property `trials` times with derived sub-seeds.
 
-    Aggregation is order-insensitive; a report with no failures passes.
+    A trial fails at its first failing check; the checks after it are
+    not run.  Aggregation is order-insensitive; a report with no
+    failures passes.
     """
     if name not in PROPERTIES:
         raise InputError(f"unknown property {name!r}; known: {', '.join(property_names())}")
@@ -480,29 +486,47 @@ def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -
     start = time.perf_counter()
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, trial))
-        failure = fn(trial, rng, bounds)
+        failure = next(filter(None, fn(trial, rng, bounds)), None)
         if failure is not None:
             failures.append(replace(failure, trial=trial))
     elapsed = time.perf_counter() - start
-    failures.sort(key=lambda f: f.trial)
     return CampaignReport(name, trials, seed, tuple(failures), elapsed)
 
 
-def _fail(expected, got, **inputs) -> Failure:
-    return Failure(-1, inputs, str(expected), str(got))
+def _doc(x):
+    """JSON form of one trial input, chosen by its type."""
+    if isinstance(x, (bt.BallTree, mt.FiniteMetric)):
+        return uio.space_doc(x)
+    if isinstance(x, red.RootedTree):
+        return uio.tree_doc(x)
+    if isinstance(x, red.Graph):
+        return uio.graph_doc(x)
+    if isinstance(x, qo.QuasiOrder):
+        return uio.qo_doc(x)
+    if isinstance(x, qo.OmegaMultiset):
+        return uio.multiset_doc(x)
+    if isinstance(x, (list, tuple, mt.DistanceSet)):
+        return [_doc(v) for v in x]
+    return str(x)
 
 
-_VALUE_POOL = (
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(1),
-    Fraction(3, 2),
-    Fraction(2),
-    Fraction(3),
-    Fraction(9, 2),
-    Fraction(5),
-    Fraction(7),
-)
+def _holds(inputs: dict, claim: str, ok: bool, got="violated") -> Failure | None:
+    """None if the claim holds; otherwise a failure carrying every input."""
+    if ok:
+        return None
+    return Failure(-1, {k: _doc(v) for k, v in inputs.items()}, claim, str(got))
+
+
+def _agree(inputs: dict, **decisions) -> Failure | None:
+    """None if every named decision equals the first one."""
+    (name, first), *rest = decisions.items()
+    if all(value == first for _, value in rest):
+        return None
+    got = ", ".join(f"{k}={v}" for k, v in rest)
+    return _holds(inputs, f"{name}={first}", False, got)
+
+
+_VALUE_POOL = tuple(Fraction(v) for v in ("1/3", "1/2", "1", "3/2", "2", "3", "9/2", "5", "7"))
 
 
 def _rand_distance_set(rng: random.Random, lo: int = 2, hi: int = 4) -> mt.DistanceSet:
@@ -523,21 +547,14 @@ def _prop_canon_vs_brute(trial, rng, bounds):
     ds = _rand_distance_set(rng)
     a = gen_ball_tree(_sub(rng), ds, bounds.points(7))
     a, b = mutate_pair(_sub(rng), a)
+    inputs = {"left": a, "right": b}
     ma, mb = bt.from_ball_tree(a), bt.from_ball_tree(b)
-    if bt.canonical_code(bt.to_ball_tree(ma)) != bt.canonical_code(a):
-        return _fail("round-trip code equality", "differs", space=uio.space_doc(a))
-    if not mt.validate(ma.rows).is_ultrametric:
-        return _fail("ultrametric (isosceles law)", "violated", space=uio.space_doc(a))
-    canon = bt.canonical_code(a) == bt.canonical_code(b)
-    brute = mt.brute_isometric(ma, mb)
-    if canon != brute:
-        return _fail(
-            f"brute_isometric={brute}",
-            f"canonical codes equal={canon}",
-            left=uio.space_doc(a),
-            right=uio.space_doc(b),
-        )
-    return None
+    code = bt.canonical_code(a)
+    yield _holds(inputs, "round-trip code equality",
+                 bt.canonical_code(bt.to_ball_tree(ma)) == code, "differs")
+    yield _holds(inputs, "ultrametric (isosceles law)", mt.validate(ma.rows).is_ultrametric)
+    yield _agree(inputs, brute_isometric=mt.brute_isometric(ma, mb),
+                 codes_equal=code == bt.canonical_code(b))
 
 
 @prop("embed-vs-brute")
@@ -557,36 +574,16 @@ def _prop_embed_vs_brute(trial, rng, bounds):
             small = _delete_leaf(small, rng.randrange(small.n_points))[0]
     else:
         small = gen_ball_tree(_sub(rng), ds, bounds.points(6))
-    ma, mb = bt.from_ball_tree(small), bt.from_ball_tree(big)
+    inputs = {"small": small, "big": big}
     fast = bt.embeds(small, big)
-    brute = mt.brute_embeds(ma, mb)
-    if fast != brute:
-        return _fail(
-            f"brute_embeds={brute}",
-            f"embeds={fast}",
-            small=uio.space_doc(small),
-            big=uio.space_doc(big),
-        )
-    if not bt.embeds(small, small):
-        return _fail("embeds reflexive", "False", space=uio.space_doc(small))
-    mutual = bt.embeds(small, big) and bt.embeds(big, small)
-    if bt.isometric(small, big) != mutual:
-        return _fail(
-            "isometric iff mutually embeddable",
-            f"isometric={bt.isometric(small, big)}, mutual={mutual}",
-            small=uio.space_doc(small),
-            big=uio.space_doc(big),
-        )
-    third = gen_ball_tree(_sub(rng), ds, bounds.points(6) + 2)
-    if fast and bt.embeds(big, third) and not bt.embeds(small, third):
-        return _fail(
-            "embeds transitive",
-            "a into b into c but not a into c",
-            small=uio.space_doc(small),
-            big=uio.space_doc(big),
-            third=uio.space_doc(third),
-        )
-    return None
+    brute = mt.brute_embeds(bt.from_ball_tree(small), bt.from_ball_tree(big))
+    yield _agree(inputs, brute_embeds=brute, embeds=fast)
+    yield _holds(inputs, "embeds reflexive", bt.embeds(small, small), "False")
+    yield _agree(inputs, isometric=bt.isometric(small, big), mutual=fast and bt.embeds(big, small))
+    inputs["third"] = third = gen_ball_tree(_sub(rng), ds, bounds.points(6) + 2)
+    yield _holds(inputs, "embeds transitive",
+                 not (fast and bt.embeds(big, third)) or bt.embeds(small, third),
+                 "a into b into c but not a into c")
 
 
 def _radii_for(rng: random.Random, count: int) -> list[Fraction]:
@@ -598,52 +595,25 @@ def _radii_for(rng: random.Random, count: int) -> list[Fraction]:
 
 @prop("theta-iso")
 def _prop_theta_iso(trial, rng, bounds):
-    g = gen_tree(_sub(rng), bounds.nodes(8))
-    g, h = mutate_pair(_sub(rng), g)
-    radii = _radii_for(rng, max(g.depth(), h.depth()) + 1)
-    tree_level = red.rooted_tree_iso(g, h)
-    if g.n <= 7 and h.n <= 7 and tree_level != red.brute_rooted_iso(g, h):
-        return _fail(
-            f"brute_rooted_iso={red.brute_rooted_iso(g, h)}",
-            f"rooted_tree_iso={tree_level}",
-            left=uio.tree_doc(g),
-            right=uio.tree_doc(h),
-        )
-    space_level = bt.isometric(red.tree_ultrametric(g, radii), red.tree_ultrametric(h, radii))
-    if tree_level != space_level:
-        return _fail(
-            f"tree iso={tree_level}",
-            f"space isometry={space_level}",
-            left=uio.tree_doc(g),
-            right=uio.tree_doc(h),
-            radii=[str(r) for r in radii],
-        )
-    return None
+    return _theta_law(rng, bounds, red.rooted_tree_iso, red.brute_rooted_iso, bt.isometric)
 
 
 @prop("theta-embed")
 def _prop_theta_embed(trial, rng, bounds):
+    return _theta_law(rng, bounds, red.rooted_tree_embeds, red.brute_rooted_embeds, bt.embeds)
+
+
+def _theta_law(rng, bounds, tree_rel, brute_rel, space_rel):
+    """θ preserves and reflects the relation; small trees also go to brute force."""
     g = gen_tree(_sub(rng), bounds.nodes(8))
     g, h = mutate_pair(_sub(rng), g)
     radii = _radii_for(rng, max(g.depth(), h.depth()) + 1)
-    tree_level = red.rooted_tree_embeds(g, h)
-    if g.n <= 7 and h.n <= 7 and tree_level != red.brute_rooted_embeds(g, h):
-        return _fail(
-            f"brute_rooted_embeds={red.brute_rooted_embeds(g, h)}",
-            f"rooted_tree_embeds={tree_level}",
-            left=uio.tree_doc(g),
-            right=uio.tree_doc(h),
-        )
-    space_level = bt.embeds(red.tree_ultrametric(g, radii), red.tree_ultrametric(h, radii))
-    if tree_level != space_level:
-        return _fail(
-            f"tree embed={tree_level}",
-            f"space embed={space_level}",
-            left=uio.tree_doc(g),
-            right=uio.tree_doc(h),
-            radii=[str(r) for r in radii],
-        )
-    return None
+    inputs = {"left": g, "right": h, "radii": radii}
+    tree_level = tree_rel(g, h)
+    if g.n <= 7 and h.n <= 7:
+        yield _agree(inputs, brute=brute_rel(g, h), tree=tree_level)
+    yield _agree(inputs, tree=tree_level,
+                 space=space_rel(red.tree_ultrametric(g, radii), red.tree_ultrametric(h, radii)))
 
 
 @prop("glue-star")
@@ -656,70 +626,46 @@ def _prop_glue_star(trial, rng, bounds):
     else:
         u0 = gen_ball_tree(_sub(rng), allowed, bounds.points(6))
     u0, u1 = mutate_pair(_sub(rng), u0)
-    g0 = red.glue_canonical(u0, ds, rbar)
-    g1 = red.glue_canonical(u1, ds, rbar)
-    before = bt.isometric(u0, u1)
-    after = bt.isometric(g0, g1)
-    if before != after:
-        return _fail(
-            f"isometric before={before}",
-            f"after={after}",
-            left=uio.space_doc(u0),
-            right=uio.space_doc(u1),
-            distances=[str(v) for v in ds],
-            rbar=str(rbar),
-        )
+    inputs = {"left": u0, "right": u1, "distances": ds, "rbar": rbar}
+    g0, g1 = red.glue_canonical(u0, ds, rbar), red.glue_canonical(u1, ds, rbar)
+    yield _agree(inputs, before=bt.isometric(u0, u1), after=bt.isometric(g0, g1))
     removed = ds.positive[0]
     realized = bt.realized_of_tree(g0)
     missing = [v for v in ds.values if v not in realized and v != removed]
-    if missing:
-        return _fail(
-            "output realizes all of ds except possibly the least positive",
-            f"missing {missing}",
-            space=uio.space_doc(u0),
-            distances=[str(v) for v in ds],
-        )
-    if removed in bt.realized_of_tree(u0) and removed not in realized:
-        return _fail(
-            "removed distance kept when the input realizes it",
-            "lost",
-            space=uio.space_doc(u0),
-        )
-    return None
+    yield _holds(inputs, "output realizes all of ds except possibly the least positive",
+                 not missing, missing)
+    yield _holds(inputs, "removed distance kept when the input realizes it",
+                 removed in realized or removed not in bt.realized_of_tree(u0), "lost")
 
 
 @prop("add-tail-iso")
 def _prop_add_tail_iso(trial, rng, bounds):
-    return _add_tail_check(rng, bounds, bt.isometric, "isometric")
+    return _add_tail_law(rng, bounds, bt.isometric)
 
 
 @prop("add-tail-embed")
 def _prop_add_tail_embed(trial, rng, bounds):
-    return _add_tail_check(rng, bounds, bt.embeds, "embeds")
+    return _add_tail_law(rng, bounds, bt.embeds)
 
 
-def _add_tail_check(rng, bounds, relation, relname):
+def _add_tail_law(rng, bounds, relation):
+    """Adding tails preserves and reflects the relation and realizes all of ds."""
     ds = _rand_distance_set(rng, 2, 4)
     x = gen_ball_tree(_sub(rng), ds, bounds.points(6))
     x, y = mutate_pair(_sub(rng), x)
+    inputs = {"left": x, "right": y, "distances": ds}
     tx, ty = red.add_tail(x, ds), red.add_tail(y, ds)
-    before, after = relation(x, y), relation(tx, ty)
-    if before != after:
-        return _fail(
-            f"{relname} before={before}",
-            f"after={after}",
-            left=uio.space_doc(x),
-            right=uio.space_doc(y),
-            distances=[str(v) for v in ds],
-        )
-    if tuple(bt.realized_of_tree(tx).values) != ds.values:
-        return _fail(
-            "output realizes the full distance set",
-            str(bt.realized_of_tree(tx)),
-            space=uio.space_doc(x),
-            distances=[str(v) for v in ds],
-        )
-    return None
+    yield _agree(inputs, before=relation(x, y), after=relation(tx, ty))
+    realized = bt.realized_of_tree(tx)
+    yield _holds(inputs, "output realizes the full distance set", realized.values == ds.values,
+                 realized)
+
+
+def _matching_law(inputs, xs, ys, x, y):
+    """Spaces x and y relate as their lists of pieces xs and ys match."""
+    yield _agree(inputs, space_embed=bt.embeds(x, y), list_matching=red.list_embeds(xs, ys))
+    yield _agree(inputs, space_isometry=bt.isometric(x, y),
+                 list_perfect_matching=red.list_isometric(xs, ys))
 
 
 @prop("phi-union")
@@ -741,25 +687,9 @@ def _prop_phi_union(trial, rng, bounds):
             ys.append(gen_ball_tree(_sub(rng), ds, 5))
     else:
         ys = [gen_ball_tree(_sub(rng), ds, 5) for _ in range(rng.randint(1, 4))]
+    inputs = {"left": xs, "right": ys, "radius": radius}
     ux, uy = red.union_at_distance(xs, radius), red.union_at_distance(ys, radius)
-    docs = {
-        "left": [uio.space_doc(x) for x in xs],
-        "right": [uio.space_doc(y) for y in ys],
-        "radius": str(radius),
-    }
-    if red.list_embeds(xs, ys) != bt.embeds(ux, uy):
-        return _fail(
-            f"list matching={red.list_embeds(xs, ys)}",
-            f"space embed={bt.embeds(ux, uy)}",
-            **docs,
-        )
-    if red.list_isometric(xs, ys) != bt.isometric(ux, uy):
-        return _fail(
-            f"list perfect matching={red.list_isometric(xs, ys)}",
-            f"space isometry={bt.isometric(ux, uy)}",
-            **docs,
-        )
-    return None
+    return _matching_law(inputs, xs, ys, ux, uy)
 
 
 @prop("decompose")
@@ -767,25 +697,9 @@ def _prop_decompose(trial, rng, bounds):
     ds = _rand_distance_set(rng, 2, 4)
     x = gen_ball_tree(_sub(rng), ds, bounds.points(6))
     x, y = mutate_pair(_sub(rng), x)
+    inputs = {"left": x, "right": y, "distances": ds}
     dx, dy = red.decompose_space(x, ds), red.decompose_space(y, ds)
-    docs = {
-        "left": uio.space_doc(x),
-        "right": uio.space_doc(y),
-        "distances": [str(v) for v in ds],
-    }
-    if bt.embeds(x, y) != red.list_embeds(dx, dy):
-        return _fail(
-            f"space embed={bt.embeds(x, y)}",
-            f"list matching={red.list_embeds(dx, dy)}",
-            **docs,
-        )
-    if bt.isometric(x, y) != red.list_isometric(dx, dy):
-        return _fail(
-            f"space isometry={bt.isometric(x, y)}",
-            f"list perfect matching={red.list_isometric(dx, dy)}",
-            **docs,
-        )
-    return None
+    return _matching_law(inputs, dx, dy, x, y)
 
 
 @prop("rank-tree")
@@ -795,20 +709,12 @@ def _prop_rank_tree(trial, rng, bounds):
     count = max(g.rank(), h.rank()) + 2
     base = rng.choice((Fraction(1), Fraction(1, 2), Fraction(2)))
     radii = [base * k for k in range(count)]
+    inputs = {"left": g, "right": h, "radii": radii}
     sg, sh = red.rank_ultrametric(g, radii), red.rank_ultrametric(h, radii)
-    tree_level = red.rooted_tree_iso(g, h)
-    space_level = bt.isometric(sg, sh)
-    if tree_level != space_level:
-        return _fail(
-            f"tree iso={tree_level}",
-            f"space isometry={space_level}",
-            left=uio.tree_doc(g),
-            right=uio.tree_doc(h),
-            radii=[str(r) for r in radii],
-        )
+    yield _agree(inputs, tree_iso=red.rooted_tree_iso(g, h), space_isometry=bt.isometric(sg, sh))
     extended, _ = red.rank_extend(g)
     want = {
-        (str(extended.parents[j]), f"*{j}") for j in range(g.n, extended.n)
+        tuple(sorted((str(extended.parents[j]), f"*{j}"))) for j in range(g.n, extended.n)
     }
     m, ids = bt.from_ball_tree(sg), bt.leaves(sg)
     got = {
@@ -817,13 +723,9 @@ def _prop_rank_tree(trial, rng, bounds):
         for j in range(i + 1, m.n)
         if m.rows[i][j] == radii[1]
     }
-    if got != {tuple(sorted(p)) for p in want}:
-        return _fail(
-            "least positive distance exactly between original leaves and their markers",
-            f"pairs {sorted(got)}",
-            tree=uio.tree_doc(g),
-        )
-    return None
+    yield _holds(inputs,
+                 "least positive distance exactly between original leaves and their markers",
+                 got == want, sorted(got))
 
 
 _POWERSET_UNIVERSE = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3), Fraction(7))
@@ -835,47 +737,32 @@ def _prop_powerset_embed(trial, rng, bounds):
     xbits, ybits = divmod(index, 1 << len(_POWERSET_UNIVERSE))
     xs = [v for k, v in enumerate(_POWERSET_UNIVERSE) if xbits >> k & 1]
     ys = [v for k, v in enumerate(_POWERSET_UNIVERSE) if ybits >> k & 1]
+    inputs = {"left": xs, "right": ys}
     sx, sy = red.subset_space(xs), red.subset_space(ys)
-    if tuple(bt.realized_of_tree(sx).values) != tuple([Fraction(0)] + xs):
-        return _fail(
-            "canonical space realizes exactly its distance set",
-            str(bt.realized_of_tree(sx)),
-            values=[str(v) for v in xs],
-        )
-    included = set(xs) <= set(ys)
-    embedded = bt.embeds(sx, sy)
-    if included != embedded:
-        return _fail(
-            f"inclusion={included}",
-            f"embeds={embedded}",
-            left=[str(v) for v in xs],
-            right=[str(v) for v in ys],
-        )
-    return None
+    realized = bt.realized_of_tree(sx)
+    yield _holds(inputs, "canonical space realizes exactly its distance set",
+                 realized.values == (0, *xs), realized)
+    yield _agree(inputs, inclusion=set(xs) <= set(ys), embeds=bt.embeds(sx, sy))
+
+
+def _graph_radii(trial: int) -> tuple[Fraction, Fraction]:
+    return (Fraction(1), Fraction(2)) if trial % 2 else (Fraction(1), Fraction(3, 2))
 
 
 @prop("graph-metric-iso")
 def _prop_graph_metric_iso(trial, rng, bounds):
-    r, rp = (Fraction(1), Fraction(2)) if trial % 2 else (Fraction(1), Fraction(3, 2))
+    r, rp = _graph_radii(trial)
     g = _gen_graph(rng, bounds.nodes(7))
     g, h = mutate_pair(_sub(rng), g)
-    graph_level = red.brute_graph_iso(g, h)
-    metric_level = mt.brute_isometric(red.graph_metric(g, r, rp), red.graph_metric(h, r, rp))
-    if graph_level != metric_level:
-        return _fail(
-            f"graph iso={graph_level}",
-            f"metric isometry={metric_level}",
-            left=uio.graph_doc(g),
-            right=uio.graph_doc(h),
-            r=str(r),
-            rp=str(rp),
-        )
-    return None
+    inputs = {"left": g, "right": h, "r": r, "rp": rp}
+    yield _agree(inputs, graph_iso=red.brute_graph_iso(g, h),
+                 metric_isometry=mt.brute_isometric(red.graph_metric(g, r, rp),
+                                                    red.graph_metric(h, r, rp)))
 
 
 @prop("graph-metric-embed")
 def _prop_graph_metric_embed(trial, rng, bounds):
-    r, rp = (Fraction(1), Fraction(2)) if trial % 2 else (Fraction(1), Fraction(3, 2))
+    r, rp = _graph_radii(trial)
     h = _gen_graph(rng, bounds.nodes(7))
     if rng.random() < 0.5 and h.n > 1:
         keep = sorted(rng.sample(range(h.n), rng.randint(1, h.n - 1)))
@@ -886,18 +773,10 @@ def _prop_graph_metric_embed(trial, rng, bounds):
         )
     else:
         g = _gen_graph(rng, h.n)
-    graph_level = red.brute_graph_embeds(g, h)
-    metric_level = mt.brute_embeds(red.graph_metric(g, r, rp), red.graph_metric(h, r, rp))
-    if graph_level != metric_level:
-        return _fail(
-            f"graph induced embed={graph_level}",
-            f"metric embed={metric_level}",
-            left=uio.graph_doc(g),
-            right=uio.graph_doc(h),
-            r=str(r),
-            rp=str(rp),
-        )
-    return None
+    inputs = {"left": g, "right": h, "r": r, "rp": rp}
+    yield _agree(inputs, graph_induced_embed=red.brute_graph_embeds(g, h),
+                 metric_embed=mt.brute_embeds(red.graph_metric(g, r, rp),
+                                              red.graph_metric(h, r, rp)))
 
 
 def _gen_graph(rng: random.Random, max_vertices: int) -> red.Graph:
@@ -908,7 +787,8 @@ def _gen_graph(rng: random.Random, max_vertices: int) -> red.Graph:
     return red.Graph.from_edges(n, edges)
 
 
-def _gen_instance(rng, bounds, *, require_omega=False, equivalence=False):
+def _gen_instance(rng, bounds, *, require_omega=False, equivalence=False) -> dict:
+    """A base order and two multisets over it, as trial inputs."""
     n = rng.randint(1, bounds.support(6))
     if equivalence:
         base = gen_equivalence(_sub(rng), n, max_blocks=max(1, n - 1))
@@ -924,142 +804,78 @@ def _gen_instance(rng, bounds, *, require_omega=False, equivalence=False):
     else:
         b = gen_multiset(_sub(rng), base, bounds.support(6), Fraction(35, 100),
                          require_omega=require_omega)
-    return base, a, b
-
-
-def _instance_docs(base, a, b) -> dict:
-    return {
-        "qo": uio.qo_doc(base),
-        "left": uio.multiset_doc(a),
-        "right": uio.multiset_doc(b),
-    }
+    return {"qo": base, "left": a, "right": b}
 
 
 @prop("inj-flow-vs-char")
 def _prop_inj_flow_vs_char(trial, rng, bounds):
-    base, a, b = _gen_instance(rng, bounds, require_omega=trial % 2 == 0)
+    inputs = _gen_instance(rng, bounds, require_omega=trial % 2 == 0)
+    _, a, b = inputs.values()
     ok_ab, wit_ab = qo.inj_le(a, b)
     ok_ba, _ = qo.inj_le(b, a)
-    char = qo.einj_equivalent(a, b)
-    if char != (ok_ab and ok_ba):
-        return _fail(
-            f"flow gives mutual={ok_ab and ok_ba}",
-            f"characterization={char}",
-            **_instance_docs(base, a, b),
-        )
-    if ok_ab and not qo.verify_witness(a, b, wit_ab):
-        return _fail("valid witness", "invalid", **_instance_docs(base, a, b))
-    if ok_ab and not qo.cf_le(a, b):
-        return _fail("inj implies cf", "cf false", **_instance_docs(base, a, b))
-    return None
+    yield _agree(inputs, flow_mutual=ok_ab and ok_ba, characterization=qo.einj_equivalent(a, b))
+    yield _holds(inputs, "valid witness", not ok_ab or qo.verify_witness(a, b, wit_ab), "invalid")
+    yield _holds(inputs, "inj implies cf", not ok_ab or qo.cf_le(a, b), "cf false")
 
 
 @prop("inj-flow-vs-wqo")
 def _prop_inj_flow_vs_wqo(trial, rng, bounds):
-    base, a, b = _gen_instance(rng, bounds, require_omega=trial % 2 == 0)
+    inputs = _gen_instance(rng, bounds, require_omega=trial % 2 == 0)
+    base, a, b = inputs.values()
     flow = qo.inj_le(a, b)[0]
-    cones = qo.wqo_inj_le(a, b)
-    if flow != cones:
-        return _fail(
-            f"flow={flow}", f"cone split={cones}", **_instance_docs(base, a, b)
-        )
-    if not qo.inj_le(a, a)[0]:
-        return _fail("inj reflexive", "False", **_instance_docs(base, a, a))
-    c = gen_multiset(_sub(rng), base, bounds.support(6), Fraction(35, 100))
-    if flow and qo.inj_le(b, c)[0] and not qo.inj_le(a, c)[0]:
-        return _fail(
-            "inj transitive",
-            "a<=b<=c but not a<=c",
-            **_instance_docs(base, a, c) | {"middle": uio.multiset_doc(b)},
-        )
-    return None
+    yield _agree(inputs, flow=flow, cone_split=qo.wqo_inj_le(a, b))
+    yield _holds(inputs, "inj reflexive", qo.inj_le(a, a)[0], "False")
+    inputs["third"] = c = gen_multiset(_sub(rng), base, bounds.support(6), Fraction(35, 100))
+    yield _holds(inputs, "inj transitive",
+                 not (flow and qo.inj_le(b, c)[0]) or qo.inj_le(a, c)[0], "a<=b<=c but not a<=c")
 
 
 @prop("inj-counts-equiv")
 def _prop_inj_counts_equiv(trial, rng, bounds):
-    base, a, b = _gen_instance(rng, bounds, require_omega=trial % 2 == 0,
-                               equivalence=True)
+    inputs = _gen_instance(rng, bounds, require_omega=trial % 2 == 0, equivalence=True)
+    base, a, b = inputs.values()
     flow = qo.inj_le(a, b)[0]
-    counts = qo.equiv_inj_le(a, b)
-    if flow != counts:
-        return _fail(
-            f"flow={flow}", f"classwise counts={counts}", **_instance_docs(base, a, b)
-        )
-    mutual = flow and qo.inj_le(b, a)[0]
-    classwise_equal = all(
+    yield _agree(inputs, flow=flow, classwise_counts=qo.equiv_inj_le(a, b))
+    yield _agree(inputs, mutual_inj=flow and qo.inj_le(b, a)[0], classwise_equality=all(
         a.class_mass(x) == b.class_mass(x) for x in set(a.support) | set(b.support)
-    )
-    if mutual != classwise_equal:
-        return _fail(
-            f"mutual inj={mutual}",
-            f"classwise equality={classwise_equal}",
-            **_instance_docs(base, a, b),
-        )
-    return None
+    ))
 
 
 @prop("cf-support-only")
 def _prop_cf_support_only(trial, rng, bounds):
-    base, a, b = _gen_instance(rng, bounds)
+    inputs = _gen_instance(rng, bounds)
+    base, a, b = inputs.values()
     blown_a = qo.OmegaMultiset.of(base, {x: qo.OMEGA for x in a.support})
     blown_b = qo.OmegaMultiset.of(base, {x: qo.OMEGA for x in b.support})
     plain = qo.cf_le(a, b)
-    variants = (
-        qo.cf_le(blown_a, b),
-        qo.cf_le(a, blown_b),
-        qo.cf_le(blown_a, blown_b),
-    )
-    if any(v != plain for v in variants):
-        return _fail(
-            f"cf invariant under blowing up multiplicities ({plain})",
-            str(variants),
-            **_instance_docs(base, a, b),
-        )
-    if not qo.cf_le(a, a):
-        return _fail("cf reflexive", "False", **_instance_docs(base, a, a))
-    c = gen_multiset(_sub(rng), base, bounds.support(6), Fraction(35, 100))
-    if plain and qo.cf_le(b, c) and not qo.cf_le(a, c):
-        return _fail(
-            "cf transitive",
-            "a<=b<=c but not a<=c",
-            **_instance_docs(base, a, c) | {"middle": uio.multiset_doc(b)},
-        )
-    return None
+    yield _agree(inputs, plain=plain, blown_left=qo.cf_le(blown_a, b),
+                 blown_right=qo.cf_le(a, blown_b), blown_both=qo.cf_le(blown_a, blown_b))
+    yield _holds(inputs, "cf reflexive", qo.cf_le(a, a), "False")
+    inputs["third"] = c = gen_multiset(_sub(rng), base, bounds.support(6), Fraction(35, 100))
+    yield _holds(inputs, "cf transitive",
+                 not (plain and qo.cf_le(b, c)) or qo.cf_le(a, c), "a<=b<=c but not a<=c")
 
 
 @prop("iterate-sanity")
 def _prop_iterate_sanity(trial, rng, bounds):
-    base, a, _ = _gen_instance(rng, bounds, require_omega=trial % 3 == 0)
+    base, a, _ = _gen_instance(rng, bounds, require_omega=trial % 3 == 0).values()
+    inputs = {"qo": base, "multiset": a}
     trace = qo.iterate_levels(a)
-    docs = {"qo": uio.qo_doc(base), "multiset": uio.multiset_doc(a)}
-    if trace.levels[0] != frozenset(a.support):
-        return _fail("level 0 equals support", str(trace.levels[0]), **docs)
-    for lo, hi in zip(trace.levels[1:], trace.levels):
-        if not lo < hi:
-            return _fail("levels strictly decreasing until stabilization",
-                         str(trace.levels), **docs)
-    if trace.stabilized_at > len(a.support):
-        return _fail("stabilization within support size",
-                     str(trace.stabilized_at), **docs)
-    le = base.le
+    levels, core, le = trace.levels, trace.core, base.le
+    yield _holds(inputs, "level 0 equals support", levels[0] == frozenset(a.support), levels[0])
+    yield _holds(inputs, "levels strictly decreasing until stabilization",
+                 all(lo < hi for lo, hi in zip(levels[1:], levels)), levels)
+    yield _holds(inputs, "stabilization within support size",
+                 trace.stabilized_at <= len(a.support), trace.stabilized_at)
+    # downward closed within support, which also gives class invariance
+    outside = [x for level in levels for x in a.support
+               if x not in level and any(le[x][y] for y in level)]
+    yield _holds(inputs, "levels downward closed within support", not outside, outside)
     omegas = set(a.omega_elements())
-    for level in trace.levels:
-        # downward closed within support, which also gives class invariance
-        for x in a.support:
-            if x not in level and any(le[x][y] for y in level):
-                return _fail(
-                    "levels downward closed within support",
-                    f"{x} is below the level but outside it", **docs,
-                )
-    if not omegas <= trace.core:
-        return _fail("omega elements stay in the core", str(trace.core), **docs)
-    for x in trace.core:
-        if not any(y in omegas and le[x][y] for y in trace.core):
-            return _fail(
-                "every core element sees an omega element above it in the core",
-                f"element {x}", **docs,
-            )
-    return None
+    yield _holds(inputs, "omega elements stay in the core", omegas <= core, core)
+    unseen = [x for x in core if not any(y in omegas and le[x][y] for y in core)]
+    yield _holds(inputs, "every core element sees an omega element above it in the core",
+                 not unseen, unseen)
 
 
 @prop("witness-levels")
@@ -1072,13 +888,12 @@ def _prop_witness_levels(trial, rng, bounds):
         _sub(rng), base, bounds.support(6), Fraction(40, 100)
     )
     if not (qo.inj_le(a, b)[0] and qo.inj_le(b, a)[0]):
-        return None
+        return
+    inputs = {"qo": base, "left": a, "right": b}
     witness = qo.level_respecting_witness(a, b)
-    docs = _instance_docs(base, a, b)
-    if witness is None:
-        return _fail("a level-respecting witness exists", "None", **docs)
-    if not qo.verify_witness(a, b, witness):
-        return _fail("level witness is a valid witness", "invalid", **docs)
+    yield _holds(inputs, "a level-respecting witness exists", witness is not None, "None")
+    yield _holds(inputs, "level witness is a valid witness", qo.verify_witness(a, b, witness),
+                 "invalid")
     ta, tb = qo.iterate_levels(a), qo.iterate_levels(b)
 
     def stratum(trace, x):
@@ -1087,14 +902,10 @@ def _prop_witness_levels(trial, rng, bounds):
                 return k
         return "core"
 
-    for x, y, _ in witness.entries:
-        if stratum(ta, x) != stratum(tb, y):
-            return _fail(
-                "witness maps each stratum into the same stratum",
-                f"{x} ({stratum(ta, x)}) -> {y} ({stratum(tb, y)})",
-                **docs,
-            )
-    return None
+    moved = [f"{x} ({sx}) -> {y} ({sy})" for x, y, _ in witness.entries
+             if (sx := stratum(ta, x)) != (sy := stratum(tb, y))]
+    yield _holds(inputs, "witness maps each stratum into the same stratum", not moved,
+                 "; ".join(moved))
 
 
 @prop("triangle-wellspaced")
@@ -1103,11 +914,5 @@ def _prop_triangle_wellspaced(trial, rng, bounds):
     values = universe[trial % len(universe)]
     ds = mt.DistanceSet.from_values(values)
     audit = mt.triangle_audit(ds)
-    spaced = mt.is_well_spaced(ds)
-    if audit.all_isosceles != spaced:
-        return _fail(
-            f"well-spaced={spaced}",
-            f"all-isosceles={audit.all_isosceles} (witness {audit.witness})",
-            values=[str(v) for v in values],
-        )
-    return None
+    yield _agree({"values": values}, well_spaced=mt.is_well_spaced(ds),
+                 all_isosceles=audit.all_isosceles)

@@ -154,6 +154,18 @@ def test_reduce_out_unwritable_exit_2(files, tmp_path, capsys):
     assert err.startswith("error: --out ") and "nodir" in err
 
 
+def test_too_deep_input_exit_2(files, capsys):
+    path = files("path.json", {"parents": [None, *range(599)]})
+    code, out, err = run(capsys, "reduce", "theta", path, "--radii",
+                         ",".join(str(600 - k) for k in range(600)))
+    assert code == 2 and out == ""
+    assert err.startswith("error: input nested too deeply")
+    values = ",".join(str(k) for k in range(1, 701))
+    code, out, err = run(capsys, "reduce", "powerset", "--values", values)
+    assert code == 2 and out == ""
+    assert err.startswith("error: input nested too deeply")
+
+
 def test_reduce_glue_tail_phi_decompose(files, capsys):
     a = files("a.json", MATRIX_2PT)
     code, out, _ = run(

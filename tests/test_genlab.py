@@ -1,8 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
+import umlab.balltree
+import umlab.metric
+import umlab.qo
 import umlab.reduce
+from umlab import genlab
 from umlab.balltree import from_ball_tree, isometric, leaf
 from umlab.errors import InputError
 from umlab.genlab import (
@@ -17,8 +23,8 @@ from umlab.genlab import (
     mutate_pair,
     run_campaign,
 )
-from umlab.metric import DistanceSet, validate
-from umlab.qo import Omega, closure
+from umlab.metric import DistanceSet, TriangleAudit, validate
+from umlab.qo import IterationTrace, Omega, closure
 from umlab.reduce import rooted_tree_iso
 
 # the exact property names the CLI contract promises
@@ -184,18 +190,126 @@ def test_run_campaign_deterministic_modulo_timing():
     assert a == b
 
 
+def _const(value):
+    return lambda *args: value
+
+
+# One planted fault per property, and the inputs every failure must carry.
+FAULTS = {
+    "canon-vs-brute": (umlab.metric, "brute_isometric", _const(False), "left right"),
+    "embed-vs-brute": (umlab.balltree, "embeds", _const(True), "small big"),
+    "theta-iso": (umlab.reduce, "tree_ultrametric", _const(leaf("broken")), "left right radii"),
+    "theta-embed": (umlab.balltree, "embeds", _const(True), "left right radii"),
+    "glue-star": (umlab.reduce, "glue_canonical", lambda u, ds, rbar: u,
+                  "left right distances rbar"),
+    "add-tail-iso": (umlab.reduce, "add_tail", lambda x, ds: x, "left right distances"),
+    "add-tail-embed": (umlab.reduce, "add_tail", lambda x, ds: x, "left right distances"),
+    "phi-union": (umlab.balltree, "embeds", _const(True), "left right radius"),
+    "decompose": (umlab.balltree, "isometric", _const(False), "left right distances"),
+    "rank-tree": (umlab.balltree, "isometric", _const(False), "left right radii"),
+    "powerset-embed": (umlab.reduce, "subset_space", _const(leaf("p")), "left right"),
+    "graph-metric-iso": (umlab.metric, "brute_isometric", _const(False), "left right r rp"),
+    "graph-metric-embed": (umlab.metric, "brute_embeds", _const(True), "left right r rp"),
+    "inj-flow-vs-char": (umlab.qo, "inj_le", _const((False, None)), "qo left right"),
+    "inj-flow-vs-wqo": (umlab.qo, "inj_le", _const((False, None)), "qo left right"),
+    "inj-counts-equiv": (umlab.qo, "inj_le", _const((False, None)), "qo left right"),
+    "cf-support-only": (umlab.qo, "cf_le", _const(False), "qo left right"),
+    "iterate-sanity": (umlab.qo, "iterate_levels",
+                       _const(IterationTrace((frozenset(),), 0, frozenset())), "qo multiset"),
+    "witness-levels": (umlab.qo, "level_respecting_witness", _const(None), "qo left right"),
+    "triangle-wellspaced": (umlab.metric, "triangle_audit", _const(TriangleAudit(False, None)),
+                            "values"),
+}
+
+
 def test_fault_injection_is_detected(monkeypatch):
-    # a broken construction must produce replayable failures
-    monkeypatch.setattr(
-        umlab.reduce, "tree_ultrametric", lambda t, radii: leaf("broken")
-    )
-    report = run_campaign("theta-iso", 60, 2024)
-    assert not report.passed
-    first = report.failures[0]
-    assert first.trial >= 0
-    assert "left" in first.inputs and "right" in first.inputs
+    # a broken construction or decider must produce replayable failures
+    assert set(FAULTS) == CONTRACT
+    for name, (module, attr, fault, keys) in FAULTS.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, attr, fault)
+            report = run_campaign(name, 60, 2024)
+            assert not report.passed, name
+            json.dumps(report.to_doc())
+            for f in report.failures:
+                assert f.trial >= 0
+                assert set(f.inputs) == set(keys.split()), (name, f.inputs)
+            first = report.failures[0]
+            assert run_campaign(name, first.trial + 1, 2024).failures[-1] == first, name
 
 
 def test_campaign_bounds_are_honored():
     report = run_campaign("theta-iso", 30, 7, Bounds(max_nodes=3))
     assert report.passed
+
+
+# Trial bounds of the acceptance suite; unlisted properties take Bounds().
+ACCEPTANCE_BOUNDS = {
+    "canon-vs-brute": Bounds(max_points=7),
+    "embed-vs-brute": Bounds(max_points=6),
+    "theta-iso": Bounds(max_nodes=8),
+    "theta-embed": Bounds(max_nodes=8),
+    "glue-star": Bounds(max_points=6),
+    "add-tail-iso": Bounds(max_points=6),
+    "add-tail-embed": Bounds(max_points=6),
+    "decompose": Bounds(max_points=5),
+    "rank-tree": Bounds(max_nodes=7),
+    "graph-metric-iso": Bounds(max_nodes=7),
+    "graph-metric-embed": Bounds(max_nodes=7),
+    "inj-flow-vs-char": Bounds(max_support=6),
+    "inj-flow-vs-wqo": Bounds(max_support=6),
+    "inj-counts-equiv": Bounds(max_support=6),
+}
+
+# sha256 (first 16 hex digits) of every random() and getrandbits(k) value
+# drawn in the first 100 trials at seed 20260810, followed by the report
+# without elapsed_seconds.  A change here means existing seeds no longer
+# replay the same instances.
+DRAW_DIGESTS = {
+    "add-tail-embed": "153c6eb60e4336cc",
+    "add-tail-iso": "efe7b122e4ee93e5",
+    "canon-vs-brute": "e610940a9e3c883d",
+    "cf-support-only": "b605d96170982ffd",
+    "decompose": "ccc469d9c65eddf9",
+    "embed-vs-brute": "5492cdc19fe67fe2",
+    "glue-star": "4275ca95d85f9537",
+    "graph-metric-embed": "5d751b24866933d0",
+    "graph-metric-iso": "15c285b2b89ca156",
+    "inj-counts-equiv": "57e593b0d7af090e",
+    "inj-flow-vs-char": "6bebafb821107cd9",
+    "inj-flow-vs-wqo": "78edb4394cc58129",
+    "iterate-sanity": "f3267660011866ad",
+    "phi-union": "5510c27c9dd25eaa",
+    "powerset-embed": "d8dafa541d21a13c",
+    "rank-tree": "099a3a109270eae1",
+    "theta-embed": "d856899564b0ff1b",
+    "theta-iso": "92696a98d9ee7b8d",
+    "triangle-wellspaced": "24c4b1993fa10c97",
+    "witness-levels": "453f0891ebe18942",
+}
+
+
+def _draw_digest(monkeypatch, name):
+    log = hashlib.sha256()
+
+    class Logged(genlab.random.Random):
+        def random(self):
+            value = super().random()
+            log.update(repr(value).encode())
+            return value
+
+        def getrandbits(self, k):
+            value = super().getrandbits(k)
+            log.update(f"{k}:{value};".encode())
+            return value
+
+    monkeypatch.setattr(genlab.random, "Random", Logged)
+    doc = run_campaign(name, 100, 20260810, ACCEPTANCE_BOUNDS.get(name, Bounds())).to_doc()
+    doc.pop("elapsed_seconds")
+    log.update(json.dumps(doc, sort_keys=True).encode())
+    return log.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_draw_streams_are_pinned(monkeypatch, name):
+    assert _draw_digest(monkeypatch, name) == DRAW_DIGESTS[name]
