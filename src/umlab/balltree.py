@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import InputError, NotUltrametricError
 from .metric import DistanceSet, FiniteMetric, validate
+from .qo import assign
 from .rationals import format_rational
 
 CanonCode = bytes
@@ -189,60 +190,37 @@ def canonical_space(ds: DistanceSet) -> BallTree:
 
 
 def matching_exists(xs, ys, fits) -> bool:
-    """Whether every x can be matched to a distinct y with fits(x, y).
-
-    Kuhn's augmenting paths; fits is evaluated lazily, pair by pair.
-    """
-    if len(xs) > len(ys):
-        return False
-    match_of: list[int | None] = [None] * len(ys)
-
-    def augment(xi: int, seen: list[bool]) -> bool:
-        for yi in range(len(ys)):
-            if seen[yi] or not fits(xs[xi], ys[yi]):
-                continue
-            seen[yi] = True
-            if match_of[yi] is None or augment(match_of[yi], seen):
-                match_of[yi] = xi
-                return True
-        return False
-
-    return all(augment(xi, [False] * len(ys)) for xi in range(len(xs)))
+    """Whether every x can be matched to a distinct y with fits(x, y);
+    `qo.assign` with unit needs and rooms, asking fits lazily."""
+    return assign([1] * len(xs), [1] * len(ys), lambda i, j: fits(xs[i], ys[j])) is not None
 
 
 def embeds(a: BallTree, b: BallTree) -> bool:
     """Decide isometric embeddability of a into b.
 
-    A leaf embeds anywhere.  An internal node with label r embeds into a
-    subtree v iff some node w within v carries label exactly r and the
-    children of a match injectively into the children of w, each child
-    embedding into its assigned subtree.  The injective assignment is a
-    maximum bipartite matching; results are memoized on node pairs.
+    A leaf embeds anywhere.  An internal node x embeds into a subtree v
+    iff v is internal and either carries x's label, with the children
+    of x matching injectively into the children of v (each child
+    embedding into its assigned subtree), or carries a larger label and
+    x embeds into one of v's children.  Labels strictly decrease
+    towards the leaves, so v is the only node of its subtree that can
+    carry x's label.  Results are memoized on node pairs.
     """
-    internal_nodes_within: dict[int, list[BallTree]] = {}
-
-    def collect(v: BallTree) -> list[BallTree]:
-        got = [] if v.is_leaf else [v]
-        for c in v.children:
-            got.extend(collect(c))
-        internal_nodes_within[id(v)] = got
-        return got
-
-    collect(b)
     memo: dict[tuple[int, int], bool] = {}
 
     def can_embed(x: BallTree, v: BallTree) -> bool:
         if x.is_leaf:
             return True
+        if v.is_leaf or v.label < x.label:
+            return False
         key = (id(x), id(v))
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        result = any(
-            w.label == x.label and matching_exists(x.children, w.children, can_embed)
-            for w in internal_nodes_within[id(v)]
-        )
-        memo[key] = result
+        result = memo.get(key)
+        if result is None:
+            if v.label == x.label:
+                result = matching_exists(x.children, v.children, can_embed)
+            else:
+                result = any(can_embed(x, w) for w in v.children)
+            memo[key] = result
         return result
 
     return can_embed(a, b)

@@ -13,8 +13,9 @@ Omega arithmetic, stated once and used everywhere:
     disjoint infinite subsets).
 
 `cf_le` ignores multiplicities entirely (support-only).  `inj_le`
-decides injective matchability by a small max-flow plus the omega rule
-above, and returns an explicit witness.  `einj_equivalent`,
+decides injective matchability by the omega rule above plus `assign`,
+the augmenting-path flow that also serves every matching decision of
+the ball trees and reductions, and returns an explicit witness.  `einj_equivalent`,
 `wqo_inj_le` and `equiv_inj_le` are independently derived procedures
 that must agree with the flow decision; the agreement is what the test
 campaigns verify.
@@ -22,7 +23,6 @@ campaigns verify.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,14 +92,12 @@ class QuasiOrder:
         for i in range(self.n):
             if not self.le[i][i]:
                 raise InputError(f"relation is not reflexive at {i}")
+        up = [{j for j, holds in enumerate(row) if holds} for row in self.le]
         for i in range(self.n):
-            for j in range(self.n):
-                if self.le[i][j]:
-                    for k in range(self.n):
-                        if self.le[j][k] and not self.le[i][k]:
-                            raise InputError(
-                                f"relation is not transitive at ({i},{j},{k})"
-                            )
+            for j in sorted(up[i]):
+                if not up[j] <= up[i]:
+                    k = min(up[j] - up[i])
+                    raise InputError(f"relation is not transitive at ({i},{j},{k})")
 
     def is_symmetric(self) -> bool:
         return all(
@@ -253,68 +251,70 @@ def verify_witness(a: OmegaMultiset, b: OmegaMultiset, w: Witness) -> bool:
     return all(amt == OMEGA or amt >= 1 for _, _, amt in w.entries)
 
 
-def _max_flow(demands, caps: dict[int, int], allowed) -> tuple[int, dict[tuple[int, int], int]]:
-    """Max flow from multiset sources into capacitated targets.
+def assign(need, room, fits) -> dict[tuple[int, int], int] | None:
+    """Place need[i] units of every source i on targets j with fits(i, j),
+    at most room[j] units on target j.
 
-    `demands` is a sequence of (source element, finite demand); `caps`
-    maps target elements to finite capacities; `allowed(x, y)` tells
-    whether x may flow into y.  Plain BFS augmenting-path flow on an
-    explicit residual graph; instances are tiny, so asymptotics are
-    irrelevant.
+    Returns the units sent per (source, target) index pair, or None when
+    no such placement exists.  Sources are served in index order, each
+    by BFS augmenting paths through an implicit residual graph: forward
+    arcs where `fits` holds, backward arcs along the units already sent.
+    The flow is maximum for every prefix of sources, so the first source
+    that finds no path decides None.  `fits` is asked lazily, never for
+    a target the current search has already reached, and never for a
+    source after that first failing one.
     """
-    src, snk = ("s",), ("t",)
-    residual: dict[tuple, dict[tuple, int]] = {src: {}, snk: {}}
-
-    def arc(u: tuple, v: tuple, cap: int) -> None:
-        residual.setdefault(u, {})[v] = cap
-        residual.setdefault(v, {}).setdefault(u, 0)
-
-    for x, d in demands:
-        arc(src, ("x", x), d)
-    for y, c in caps.items():
-        arc(("y", y), snk, c)
-    for x, _ in demands:
-        for y in caps:
-            if allowed(x, y):
-                arc(("x", x), ("y", y), sum(d for _, d in demands))
-
-    total = 0
-    while True:
-        parent: dict[tuple, tuple] = {src: src}
-        queue = deque([src])
-        while queue and snk not in parent:
-            u = queue.popleft()
-            for v, cap in residual[u].items():
-                if cap > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if snk not in parent:
-            break
-        path = [snk]
-        while path[-1] != src:
-            path.append(parent[path[-1]])
-        path.reverse()
-        bottleneck = min(residual[u][v] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-        total += bottleneck
-    flow = {}
-    for x, _ in demands:
-        for y in caps:
-            sent = residual.get(("y", y), {}).get(("x", x), 0)
-            if allowed(x, y) and sent > 0:
-                flow[(x, y)] = sent
-    return total, flow
+    if sum(need) > sum(room):
+        return None
+    load = [0] * len(room)
+    sent: list[dict[int, int]] = [{} for _ in room]  # sent[j][i]: units of i on j
+    for i, left in enumerate(need):
+        while left:
+            via: dict[int, int] = {}  # target -> source whose forward arc reached it
+            back: dict[int, int | None] = {i: None}  # source -> target it was reached from
+            queue = [i]
+            end = None
+            for s in queue:  # the queue grows while it is read
+                for j in range(len(room)):
+                    if j in via or not fits(s, j):
+                        continue
+                    via[j] = s
+                    if load[j] < room[j]:
+                        end = j
+                        break
+                    for t in sent[j]:
+                        if t not in back:
+                            back[t] = j
+                            queue.append(t)
+                if end is not None:
+                    break
+            if end is None:
+                return None
+            amount, j = min(left, room[end] - load[end]), end
+            while (prev := back[via[j]]) is not None:
+                amount = min(amount, sent[prev][via[j]])
+                j = prev
+            load[end] += amount
+            left -= amount
+            j = end
+            while j is not None:
+                s = via[j]
+                sent[j][s] = sent[j].get(s, 0) + amount
+                j = back[s]
+                if j is not None:
+                    sent[j][s] -= amount
+                    if not sent[j][s]:
+                        del sent[j][s]
+    return {(i, j): units for j, got in enumerate(sent) for i, units in got.items()}
 
 
 def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:
     """Injective matchability of positions, with an explicit witness.
 
     Omega-multiplicity sources each need some omega-multiplicity target
-    above them (targets are shareable); the finite part must saturate a
-    max flow into the capacities of b, where omega capacities are
-    unbounded for finite flow.
+    above them (targets are shareable); `assign` must place the finite
+    part within the capacities of b, where an omega capacity takes the
+    whole finite demand.
     """
     _check_pair(a, b)
     le = a.base.le
@@ -325,15 +325,14 @@ def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:
         if target is None:
             return False, None
         witness_entries.append((x, target, OMEGA))
-    finite = list(a.finite_entries())
-    total_demand = sum(m for _, m in finite)
-    caps = {
-        y: (total_demand if isinstance(m, Omega) else m) for y, m in b.entries
-    }
-    value, flow = _max_flow(finite, caps, lambda x, y: le[x][y])
-    if value < total_demand:
+    finite = a.finite_entries()
+    xs, need = [x for x, _ in finite], [m for _, m in finite]
+    total_demand, ys = sum(need), b.support
+    room = [total_demand if isinstance(m, Omega) else m for _, m in b.entries]
+    placed = assign(need, room, lambda i, j: le[xs[i]][ys[j]])
+    if placed is None:
         return False, None
-    witness_entries.extend((x, y, amt) for (x, y), amt in sorted(flow.items()))
+    witness_entries.extend(sorted((xs[i], ys[j], amt) for (i, j), amt in placed.items()))
     return True, Witness(tuple(witness_entries))
 
 
@@ -417,11 +416,11 @@ def wqo_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     if any(x not in absorbed for x in a.omega_elements()):
         return False
     remaining = [(x, m) for x, m in a.finite_entries() if x not in absorbed]
-    demand = sum(m for _, m in remaining)
-    caps = {y: m for y, m in b.entries if y in fringe}
-    assert all(not isinstance(c, Omega) for c in caps.values())
-    value, _ = _max_flow(remaining, caps, lambda x, y: le[x][y])
-    return value == demand
+    caps = [(y, m) for y, m in b.entries if y in fringe]
+    assert all(not isinstance(c, Omega) for _, c in caps)
+    placed = assign([m for _, m in remaining], [c for _, c in caps],
+                    lambda i, j: le[remaining[i][0]][caps[j][0]])
+    return placed is not None
 
 
 def equiv_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:

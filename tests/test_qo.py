@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,6 +13,7 @@ from umlab.qo import (
     Omega,
     OmegaMultiset,
     QuasiOrder,
+    assign,
     cf_le,
     closure,
     einj_equivalent,
@@ -60,7 +62,7 @@ def test_closure_idempotent(n, pairs):
 def test_quasiorder_rejects_broken_relations():
     with pytest.raises(InputError):
         QuasiOrder(2, ((False, False), (False, True)))  # not reflexive
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^relation is not transitive at \(0,1,2\)$"):
         QuasiOrder(3, ((True, True, False), (False, True, True), (False, False, True)))
 
 
@@ -138,6 +140,51 @@ def test_inj_witness_respects_order():
     assert ok
     assert verify_witness(a, b, witness)
     assert all(CHAIN3.le[x][y] for x, y, _ in witness.entries)
+
+
+# ---------------------------------------------------------------------------
+# The placement primitive against Hall's condition: the sources S can all be
+# placed iff every subset of S needs no more than the room of the targets
+# that fit some member of it.
+# ---------------------------------------------------------------------------
+
+def hall_holds(need, room, table) -> bool:
+    for r in range(1, len(need) + 1):
+        for subset in itertools.combinations(range(len(need)), r):
+            reach = [j for j in range(len(room)) if any(table[i, j] for i in subset)]
+            if sum(need[i] for i in subset) > sum(room[j] for j in reach):
+                return False
+    return True
+
+
+def test_assign_agrees_with_hall_condition():
+    rng = random.Random(606)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        n, m = rng.randint(0, 6), rng.randint(0, 6)
+        need = [rng.randint(1, 4) for _ in range(n)]
+        room = [rng.randint(1, 4) for _ in range(m)]
+        density = rng.random()
+        table = {(i, j): rng.random() < density for i in range(n) for j in range(m)}
+        asked = []
+
+        def fits(i, j):
+            asked.append(i)
+            return table[i, j]
+
+        placed = assign(need, room, fits)
+        feasible = hall_holds(need, room, table)
+        assert (placed is not None) == feasible
+        outcomes[feasible] += 1
+        if placed is None:
+            first_failing = next(k for k in range(n) if not hall_holds(need[:k + 1], room, table))
+            assert all(i <= first_failing for i in asked)
+            continue
+        assert all(table[pair] and units > 0 for pair, units in placed.items())
+        assert all(sum(u for (i, _), u in placed.items() if i == s) == need[s] for s in range(n))
+        assert all(sum(u for (_, j), u in placed.items() if j == t) <= room[t] for t in range(m))
+    assert min(outcomes.values()) > 150
+    assert assign([], [], None) == {} and assign([], [3, 1], None) == {}
 
 
 # ---------------------------------------------------------------------------
