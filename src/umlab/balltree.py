@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotUltrametricError
-from .metric import DistanceSet, FiniteMetric, validate
+from .metric import DistanceSet, FiniteMetric, single_linkage, validate
 from .qo import assign
 from .rationals import format_rational
 
@@ -120,38 +120,26 @@ def from_ball_tree(t: BallTree) -> FiniteMetric:
 
 
 def to_ball_tree(m: FiniteMetric) -> BallTree:
-    """Cluster a validated ultrametric matrix into its canonical ball tree.
+    """Cluster an ultrametric matrix into its canonical ball tree.
 
     Point i becomes the leaf named str(i).  Raises NotUltrametricError
-    (with a witness triple) otherwise.  Degenerate levels collapse
-    automatically: an internal node is only created where a distance is
-    actually realized, so no node ever has a single child.
+    (with a witness triple) otherwise.  The balls are the merges of
+    `metric.single_linkage`, so an internal node is only created where a
+    distance is actually realized and no node ever has a single child.
+    Children are ordered by least point index before `canonicalize`.
     """
-    report = validate(m.rows)
-    if not report.is_ultrametric:
-        witness = report.ultrametric_witness()
+    balls = m.balls if m.balls is not None else single_linkage(m.rows)
+    if balls is None:
+        witness = validate(m.rows).ultrametric_witness()
         raise NotUltrametricError(
             "matrix is not an ultrametric"
             + (f" (witness triple {witness})" if witness else ""),
             witness,
         )
-
-    def build(points: list[int]) -> BallTree:
-        if len(points) == 1:
-            return leaf(str(points[0]))
-        radius = max(m.rows[i][j] for i in points for j in points)
-        # d < radius is an equivalence on `points`: group by class.
-        groups: list[list[int]] = []
-        for p in points:
-            for g in groups:
-                if m.rows[p][g[0]] < radius:
-                    g.append(p)
-                    break
-            else:
-                groups.append([p])
-        return internal(radius, (build(g) for g in groups))
-
-    return canonicalize(build(list(range(m.n))))
+    nodes = [leaf(str(p)) for p in range(m.n)]
+    for label, kids in balls:
+        nodes.append(BallTree(label, None, tuple(nodes[k] for k in kids)))
+    return canonicalize(nodes[-1])
 
 
 def realized_of_tree(t: BallTree) -> DistanceSet:
@@ -204,22 +192,45 @@ def embeds(a: BallTree, b: BallTree) -> bool:
     embedding into its assigned subtree), or carries a larger label and
     x embeds into one of v's children.  Labels strictly decrease
     towards the leaves, so v is the only node of its subtree that can
-    carry x's label.  Results are memoized on node pairs.
+    carry x's label.  Leaf children fit anywhere, so the matching only
+    needs x to have no more children than v and its internal children
+    to match into v's internal children.  Where that leaves a single
+    candidate pair, the descent loops instead of recursing, so a chain
+    costs no stack depth.  Results are memoized on node pairs.
     """
     memo: dict[tuple[int, int], bool] = {}
 
     def can_embed(x: BallTree, v: BallTree) -> bool:
-        if x.is_leaf:
-            return True
-        if v.is_leaf or v.label < x.label:
-            return False
-        key = (id(x), id(v))
-        result = memo.get(key)
-        if result is None:
-            if v.label == x.label:
-                result = matching_exists(x.children, v.children, can_embed)
-            else:
-                result = any(can_embed(x, w) for w in v.children)
+        path: list[tuple[int, int]] = []
+        while True:
+            if x.is_leaf:
+                result = True
+                break
+            if v.is_leaf or v.label < x.label:
+                result = False
+                break
+            key = (id(x), id(v))
+            result = memo.get(key)
+            if result is not None:
+                break
+            path.append(key)
+            vs = [w for w in v.children if not w.is_leaf]
+            if v.label > x.label:
+                if len(vs) == 1:
+                    v = vs[0]
+                    continue
+                result = any(can_embed(x, w) for w in vs)
+                break
+            if len(x.children) > len(v.children):
+                result = False
+                break
+            xs = [c for c in x.children if not c.is_leaf]
+            if len(xs) == 1 == len(vs):
+                x, v = xs[0], vs[0]
+                continue
+            result = matching_exists(xs, vs, can_embed)
+            break
+        for key in path:
             memo[key] = result
         return result
 

@@ -1,22 +1,29 @@
 """Finite metric and ultrametric spaces with exact rational distances.
 
 A space is a square matrix of Fractions.  `validate` checks the metric
-and ultrametric axioms and reports every violated inequality;
-`brute_isometric` / `brute_embeds` are the permutation-search oracles
-that everything else is verified against.  Both oracles carry a hard
-size bound and refuse larger inputs instead of hanging.
+and ultrametric axioms and reports every violated inequality.  It
+recognizes an ultrametric in O(n^2) by single linkage, whose merges are
+also its ball tree, and runs the cubic triangle scans only on a matrix
+that is not one.  `brute_isometric` / `brute_embeds` are the
+permutation-search oracles that everything else is verified against.
+Both oracles carry a hard size bound and refuse larger inputs instead
+of hanging.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, SizeBoundError
 from .rationals import format_rational
 
 DEFAULT_BRUTE_BOUND = 8
+
+# A ball of `single_linkage`: its label and its children, where a child
+# below n is a point and n + k is the k-th ball.
+Ball = tuple[Fraction, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -97,17 +104,21 @@ class FiniteMetric:
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
+    # `single_linkage(rows)` when it was run at construction and found an
+    # ultrametric, so that `to_ball_tree` need not run it again.
+    balls: tuple[Ball, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, rows, *, require_metric: bool = True) -> "FiniteMetric":
         rows = _coerce_matrix(rows)
-        if require_metric:
+        balls = single_linkage(rows) if require_metric else None
+        if require_metric and balls is None:
             report = validate(rows)
             if not report.is_metric:
                 raise InputError(
                     "not a metric: " + report.violations[0].describe()
                 )
-        return cls(len(rows), rows)
+        return cls(len(rows), rows, balls)
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -115,7 +126,9 @@ class FiniteMetric:
 
 def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Check shape and entry types; negative entries are an input error."""
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    rows = tuple(
+        tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
+    )
     n = len(rows)
     if n == 0:
         raise InputError("matrix must have at least one point")
@@ -123,7 +136,7 @@ def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
         if len(row) != n:
             raise InputError(f"matrix row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if v < 0:
+            if v.numerator < 0:
                 raise InputError(f"matrix[{i}][{j}] is negative")
     return rows
 
@@ -135,8 +148,16 @@ def validate(rows) -> ValidationReport:
     (any of which make `is_metric` false) and strong-triangle failures
     (which only affect `is_ultrametric`).  `realized` is the set of
     entries together with 0 regardless of validity.
+
+    An ultrametric is recognized by `single_linkage` in O(n^2), which
+    also proves the pair axioms; only a matrix that is not one pays the
+    pair checks and the cubic scans that list its violations.
     """
     rows = _coerce_matrix(rows)
+    balls = single_linkage(rows)
+    if balls is not None:
+        realized = DistanceSet.from_values(label for label, _ in balls)
+        return ValidationReport(True, True, (), realized)
     n = len(rows)
     violations: list[Violation] = []
     for i in range(n):
@@ -148,26 +169,94 @@ def validate(rows) -> ValidationReport:
                 violations.append(Violation("symmetry", (i, j), rows[i][j], rows[j][i]))
             elif rows[i][j] == 0:
                 violations.append(Violation("positivity", (i, j), rows[i][j], Fraction(0)))
-    metric_ok = not violations
-    if metric_ok:
-        for i, j, k in itertools.permutations(range(n), 3):
-            if i < k and rows[i][k] > rows[i][j] + rows[j][k]:
-                violations.append(
-                    Violation("triangle", (i, j, k), rows[i][k], rows[i][j] + rows[j][k])
-                )
-        metric_ok = not violations
-    ultra_ok = metric_ok
-    if metric_ok:
-        for i, j, k in itertools.permutations(range(n), 3):
-            if i < k and rows[i][k] > max(rows[i][j], rows[j][k]):
-                violations.append(
-                    Violation(
-                        "ultrametric", (i, j, k), rows[i][k], max(rows[i][j], rows[j][k])
-                    )
-                )
-        ultra_ok = not any(v.kind == "ultrametric" for v in violations)
+    if not violations:
+        _scan_triples(rows, violations)
+    metric_ok = all(v.kind == "ultrametric" for v in violations)
     realized = DistanceSet.from_values(v for row in rows for v in row)
-    return ValidationReport(metric_ok, ultra_ok, tuple(violations), realized)
+    return ValidationReport(metric_ok, not violations, tuple(violations), realized)
+
+
+def _scan_triples(rows, violations: list[Violation]) -> None:
+    """Append every triangle violation, or, if there is none, every
+    strong-triangle violation, each triple in lexicographic order."""
+    for i, j, k in itertools.permutations(range(len(rows)), 3):
+        if i < k and rows[i][k] > rows[i][j] + rows[j][k]:
+            violations.append(
+                Violation("triangle", (i, j, k), rows[i][k], rows[i][j] + rows[j][k])
+            )
+    if violations:
+        return
+    for i, j, k in itertools.permutations(range(len(rows)), 3):
+        if i < k and rows[i][k] > max(rows[i][j], rows[j][k]):
+            violations.append(
+                Violation(
+                    "ultrametric", (i, j, k), rows[i][k], max(rows[i][j], rows[j][k])
+                )
+            )
+
+
+def single_linkage(rows) -> tuple[Ball, ...] | None:
+    """The balls of an ultrametric matrix, or None if it is not one.
+
+    Single linkage (Gower & Ross 1969) in O(n^2): Prim's minimum spanning
+    tree on the integer ranks of the entries, whose edges are then merged
+    in rank order.  Each merge checks every pair it joins (both ways
+    round) against the merge rank, so each pair is checked once; all
+    checks pass exactly when the matrix is an ultrametric, and then the
+    clusters are its balls.  Merges at one rank that share a cluster
+    form one ball, whose children are ordered by least point index.
+    Balls come children first, so the last one is the whole space.
+    """
+    n = len(rows)
+    if any(rows[i][i] != 0 for i in range(n)):
+        return None
+    first_seen: dict[Fraction, int] = {}
+    cells = [[first_seen.setdefault(v, len(first_seen)) for v in row] for row in rows]
+    values = sorted(first_seen)
+    if values[0] != 0:
+        return None
+    rank = [0] * len(values)
+    for r, v in enumerate(values):
+        rank[first_seen[v]] = r
+    ranks = [[rank[c] for c in row] for row in cells]
+    best, link, todo, edges = ranks[0][:], [0] * n, list(range(1, n)), []
+    while todo:
+        j = min(todo, key=best.__getitem__)
+        todo.remove(j)
+        edges.append((best[j], link[j], j))
+        row = ranks[j]
+        for k in todo:
+            if row[k] < best[k]:
+                best[k], link[k] = row[k], j
+    edges.sort()
+    cluster = list(range(n))  # point -> the point naming its cluster
+    members = [[p] for p in range(n)]
+    node = list(range(n))  # cluster name -> id of its point or ball
+    least = list(range(n))  # id -> least point index below it
+    balls: list[Ball] = []
+    for r, group in itertools.groupby(edges, key=lambda e: e[0]):
+        if r == 0:
+            return None
+        opened: dict[int, list[int]] = {}
+        for _, u, v in group:
+            a, b = cluster[u], cluster[v]
+            if len(members[a]) < len(members[b]):
+                a, b = b, a
+            for p in members[a]:
+                row = ranks[p]
+                for q in members[b]:
+                    if row[q] != r or ranks[q][p] != r:
+                        return None
+            for q in members[b]:
+                cluster[q] = a
+            members[a] += members[b]
+            opened[a] = opened.pop(a, [node[a]]) + opened.pop(b, [node[b]])
+        for a, kids in opened.items():
+            kids.sort(key=least.__getitem__)
+            node[a] = n + len(balls)
+            least.append(least[kids[0]])
+            balls.append((values[r], tuple(kids)))
+    return tuple(balls)
 
 
 def realized_distances(m: FiniteMetric) -> DistanceSet:

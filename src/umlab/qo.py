@@ -92,11 +92,15 @@ class QuasiOrder:
         for i in range(self.n):
             if not self.le[i][i]:
                 raise InputError(f"relation is not reflexive at {i}")
-        up = [{j for j, holds in enumerate(row) if holds} for row in self.le]
-        for i in range(self.n):
-            for j in sorted(up[i]):
-                if not up[j] <= up[i]:
-                    k = min(up[j] - up[i])
+        up = [_bitset(row) for row in self.le]
+        for i, row in enumerate(up):
+            rest = row
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                missing = up[j] & ~row
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
                     raise InputError(f"relation is not transitive at ({i},{j},{k})")
 
     def is_symmetric(self) -> bool:
@@ -105,24 +109,32 @@ class QuasiOrder:
         )
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitset(row) -> int:
+    """The int whose bit j is set exactly when row[j] holds."""
+    return int(bytes(row[::-1]).translate(_BIT_CHARS), 2)
+
+
 def closure(n: int, pairs) -> QuasiOrder:
-    """Reflexive-transitive closure of the given ordered pairs."""
+    """Reflexive-transitive closure of the given ordered pairs
+    (Warshall's algorithm on int bitset rows)."""
     if n < 1:
         raise InputError("carrier size must be >= 1")
-    le = [[i == j for j in range(n)] for i in range(n)]
+    rows = [1 << i for i in range(n)]
     for i, j in pairs:
         if not (0 <= i < n and 0 <= j < n):
             raise InputError(f"pair ({i},{j}) out of range for carrier {n}")
-        le[i][j] = True
+        rows[i] |= 1 << j
     for k in range(n):
+        bit, row_k = 1 << k, rows[k]
         for i in range(n):
-            if le[i][k]:
-                row_k = le[k]
-                row_i = le[i]
-                for j in range(n):
-                    if row_k[j]:
-                        row_i[j] = True
-    return QuasiOrder(n, tuple(tuple(row) for row in le))
+            if rows[i] & bit:
+                rows[i] |= row_k
+    return QuasiOrder(
+        n, tuple(tuple(c == "1" for c in format(row, f"0{n}b")[::-1]) for row in rows)
+    )
 
 
 def es_classes(s: QuasiOrder) -> tuple[tuple[int, ...], ...]:

@@ -1,12 +1,18 @@
+import itertools
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from umlab import balltree, metric
+from umlab import io as uio
 from umlab.balltree import (
+    BallTree,
     canonical_code,
     canonical_space,
     canonicalize,
+    chain,
     embeds,
     from_ball_tree,
     internal,
@@ -16,8 +22,9 @@ from umlab.balltree import (
     to_ball_tree,
 )
 from umlab.errors import InputError, NotUltrametricError
-from umlab.genlab import _delete_leaf, gen_ball_tree, gen_tree, mutate_pair
-from umlab.metric import DistanceSet, FiniteMetric, brute_embeds, brute_isometric
+from umlab.cli import main
+from umlab.genlab import Bounds, _delete_leaf, gen_ball_tree, gen_tree, mutate_pair, run_campaign
+from umlab.metric import DistanceSet, FiniteMetric, brute_embeds, brute_isometric, validate
 from umlab.reduce import RootedTree, list_embeds, rooted_tree_embeds
 
 
@@ -211,3 +218,139 @@ def test_deciders_match_kuhn_reference_up_to_200_points():
         answers.append(list_embeds(xs, ys))
         assert answers[-1] == kuhn_matching_exists(xs, ys, kuhn_embeds)
     assert 0.2 < sum(answers) / len(answers) < 0.8
+
+
+# ---------------------------------------------------------------------------
+# References for the single-linkage pass: the cubic axiom scan `validate`
+# ran on every matrix, and the recursive clustering `to_ball_tree` used.
+# ---------------------------------------------------------------------------
+
+def scan_validate(rows):
+    """(is_metric, is_ultrametric, violation texts) by the cubic scan."""
+    n = len(rows)
+    found = [f"diagonal violated at ({i},{i})" for i in range(n) if rows[i][i] != 0]
+    for i, j in itertools.combinations(range(n), 2):
+        if rows[i][j] != rows[j][i]:
+            found.append(f"symmetry violated at ({i},{j})")
+        elif rows[i][j] == 0:
+            found.append(f"positivity violated at ({i},{j})")
+    if found:
+        return False, False, found
+    for kind, bound in (("triangle", lambda a, b: a + b), ("ultrametric", max)):
+        for i, j, k in itertools.permutations(range(n), 3):
+            if i < k and rows[i][k] > bound(rows[i][j], rows[j][k]):
+                found.append(f"{kind} violated at ({i},{j},{k}): "
+                             f"{rows[i][k]} > {bound(rows[i][j], rows[j][k])}")
+        if found:
+            return kind == "ultrametric", False, found
+    return True, True, found
+
+
+def build_ball_tree(m: FiniteMetric) -> BallTree:
+    """Split each ball into the classes of d < radius, children by least point."""
+    def build(points):
+        if len(points) == 1:
+            return leaf(str(points[0]))
+        radius = max(m.rows[i][j] for i in points for j in points)
+        groups = []
+        for p in points:
+            for g in groups:
+                if m.rows[p][g[0]] < radius:
+                    g.append(p)
+                    break
+            else:
+                groups.append([p])
+        return internal(radius, (build(g) for g in groups))
+
+    return canonicalize(build(list(range(m.n))))
+
+
+def ultrametric_matrices(seed: int, count: int, max_points: int):
+    rng = random.Random(seed)
+    ds = DistanceSet.from_values([F(1, 2), F(1), F(2), F(3), F(7, 2), F(5)])
+    for _ in range(count):
+        yield from_ball_tree(gen_ball_tree(rng.getrandbits(64), ds, rng.randint(1, max_points)))
+
+
+def perturbed(m: FiniteMetric, rng: random.Random):
+    """Copies of m with one symmetric entry raised, lowered, or tied to a
+    neighbour in its row, and one made asymmetric."""
+    if m.n < 3:
+        return
+    i, j, k = rng.sample(range(m.n), 3)
+    d = m.rows[i][j]
+    for value, mirror in ((d + F(1, 3), True), (d / 2, True), (m.rows[i][k], True), (d + 1, False)):
+        rows = [list(row) for row in m.rows]
+        rows[i][j] = value
+        if mirror:
+            rows[j][i] = value
+        yield rows
+
+
+def test_validate_fast_path_agrees_with_cubic_scan():
+    rng = random.Random(5)
+    outcomes = {}
+    for m in ultrametric_matrices(31, 150, 14):
+        for rows in [m.rows, *perturbed(m, rng)]:
+            report = validate(rows)
+            got = (report.is_metric, report.is_ultrametric,
+                   [v.describe() for v in report.violations])
+            assert got == scan_validate(rows)
+            assert report.realized == DistanceSet.from_values(v for row in rows for v in row)
+            outcomes[got[:2]] = outcomes.get(got[:2], 0) + 1
+    assert outcomes[True, True] > 150  # every other outcome occurs too
+    assert outcomes[True, False] > 30 and outcomes[False, False] > 30
+
+
+def test_to_ball_tree_matches_reference_build():
+    for m in ultrametric_matrices(32, 120, 60):
+        tree = to_ball_tree(m)
+        assert tree == build_ball_tree(m)  # leaf ids and child order too
+        assert canonical_code(tree) == canonical_code(build_ball_tree(m))
+        again = to_ball_tree(FiniteMetric.from_rows(m.rows))  # balls kept from validation
+        assert again == tree
+
+
+def test_no_ultrametric_input_enters_the_cubic_scan(monkeypatch, tmp_path, capsys):
+    def refuse(rows, violations):
+        raise AssertionError("cubic scan run on an ultrametric")
+
+    passes = []
+    linkage = metric.single_linkage
+
+    def counted(rows):
+        passes.append(len(rows))
+        return linkage(rows)
+
+    monkeypatch.setattr(metric, "_scan_triples", refuse)
+    for module in (metric, balltree, uio):
+        monkeypatch.setattr(module, "single_linkage", counted)
+    ms = list(ultrametric_matrices(33, 40, 30))
+    for m in ms:
+        assert validate(m.rows).is_ultrametric
+        to_ball_tree(FiniteMetric.from_rows(m.rows))
+        passes.clear()
+        uio.space_to_tree(uio.parse_space(uio.space_doc(m)))
+        assert passes == [m.n]  # one pass per matrix: parse and tree share it
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    for path, m in zip((a, b), ms):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(uio.space_doc(m), handle)
+    calls = [("space", "check", a), ("space", "canon", a), ("space", "isom", a, b),
+             ("space", "embed", a, b),
+             ("reduce", "glue", a, "--distances", "0,1/2,1,2,3,7/2,5,6", "--rbar", "6"),
+             ("reduce", "tail", a, "--distances", "0,1/2,1,2,3,7/2,5"),
+             ("reduce", "decompose", a, "--distances", "0,1/2,1,2,3,7/2,5")]
+    for argv in calls:
+        assert main(list(argv)) in (0, 1), argv
+        assert "error" not in capsys.readouterr().err
+    assert run_campaign("canon-vs-brute", 60, 4, Bounds(max_points=7)).passed
+
+
+def test_embeds_on_deep_chains():
+    values = list(range(1, 2001))
+    evens = values[1::2]
+    assert embeds(chain(evens), chain(values))
+    assert embeds(chain(values), chain(values))
+    assert not embeds(chain(values), chain(evens))
+    assert not embeds(chain(evens + [5000]), chain(values + [4000]))

@@ -166,6 +166,19 @@ def test_too_deep_input_exit_2(files, capsys):
     assert err.startswith("error: input nested too deeply")
 
 
+def test_space_embed_on_331_level_chains(files, capsys):
+    def chain_doc(values):
+        tree = {"leaf": "p0"}
+        for v in values:
+            tree = {"label": str(v), "children": [{"leaf": f"p{v}"}, tree]}
+        return {"kind": "balltree", "tree": tree}
+
+    big = files("big.json", chain_doc(range(1, 332)))
+    cut = files("cut.json", chain_doc([*range(1, 200), *range(201, 332), 400]))
+    assert run(capsys, "space", "embed", big, big)[:2] == (0, '{"embeds": true}\n')
+    assert run(capsys, "space", "embed", cut, big)[:2] == (1, '{"embeds": false}\n')
+
+
 def test_reduce_glue_tail_phi_decompose(files, capsys):
     a = files("a.json", MATRIX_2PT)
     code, out, _ = run(
