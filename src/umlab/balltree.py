@@ -127,17 +127,19 @@ def to_ball_tree(m: FiniteMetric) -> BallTree:
     `metric.single_linkage`, so an internal node is only created where a
     distance is actually realized and no node ever has a single child.
     Children are ordered by least point index before `canonicalize`.
+    On an ultrametric `validate` runs the same O(n^2) pass and no cubic
+    scan.
     """
-    balls = m.balls if m.balls is not None else single_linkage(m.rows)
-    if balls is None:
-        witness = validate(m.rows).ultrametric_witness()
+    report = validate(m.rows)
+    if not report.is_ultrametric:
+        witness = report.ultrametric_witness()
         raise NotUltrametricError(
             "matrix is not an ultrametric"
             + (f" (witness triple {witness})" if witness else ""),
             witness,
         )
     nodes = [leaf(str(p)) for p in range(m.n)]
-    for label, kids in balls:
+    for label, kids in single_linkage(m.rows):
         nodes.append(BallTree(label, None, tuple(nodes[k] for k in kids)))
     return canonicalize(nodes[-1])
 

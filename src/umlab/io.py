@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .balltree import BallTree, internal, leaf, to_ball_tree
 from .errors import InputError
-from .metric import FiniteMetric, single_linkage, validate
+from .metric import FiniteMetric, validate
 from .qo import OMEGA, Mult, Omega, OmegaMultiset, QuasiOrder, closure
 from .rationals import format_rational, parse_rational
 from .reduce import Graph, RootedTree
@@ -75,27 +75,23 @@ def _parse_matrix(matrix, *, require_metric: bool) -> FiniteMetric:
         rows.append(
             [parse_rational(v, f"space.matrix[{i}][{j}]") for j, v in enumerate(row)]
         )
-    # An ultrametric passes every check below; the rest are only run to
-    # name the first fault of a matrix that is not one.
-    balls = single_linkage(rows) if require_metric else None
-    if balls is None:
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < 0:
+                raise InputError(f"space.matrix[{i}][{j}]: distances must be nonnegative")
+    if require_metric:
         for i in range(n):
-            for j in range(n):
-                if rows[i][j] < 0:
-                    raise InputError(f"space.matrix[{i}][{j}]: distances must be nonnegative")
-        if require_metric:
-            for i in range(n):
-                if rows[i][i] != 0:
-                    raise InputError(f"space.matrix[{i}][{i}]: diagonal must be 0")
-                for j in range(i + 1, n):
-                    if rows[i][j] != rows[j][i]:
-                        raise InputError(
-                            f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
-                        )
-            report = validate(rows)
-            if not report.is_metric:
-                raise InputError("space.matrix: " + report.violations[0].describe())
-    return FiniteMetric(n, tuple(tuple(r) for r in rows), balls)
+            if rows[i][i] != 0:
+                raise InputError(f"space.matrix[{i}][{i}]: diagonal must be 0")
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
+                    raise InputError(
+                        f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
+                    )
+        report = validate(rows)
+        if not report.is_metric:
+            raise InputError("space.matrix: " + report.violations[0].describe())
+    return FiniteMetric(n, tuple(tuple(r) for r in rows))
 
 
 def _parse_tree_node(node, path: str, parent_label: Fraction | None) -> BallTree:

@@ -13,7 +13,7 @@ of hanging.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, SizeBoundError
@@ -104,21 +104,17 @@ class FiniteMetric:
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
-    # `single_linkage(rows)` when it was run at construction and found an
-    # ultrametric, so that `to_ball_tree` need not run it again.
-    balls: tuple[Ball, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, rows, *, require_metric: bool = True) -> "FiniteMetric":
         rows = _coerce_matrix(rows)
-        balls = single_linkage(rows) if require_metric else None
-        if require_metric and balls is None:
+        if require_metric:
             report = validate(rows)
             if not report.is_metric:
                 raise InputError(
                     "not a metric: " + report.violations[0].describe()
                 )
-        return cls(len(rows), rows, balls)
+        return cls(len(rows), rows)
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.rows[i][j]
@@ -126,9 +122,7 @@ class FiniteMetric:
 
 def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Check shape and entry types; negative entries are an input error."""
-    rows = tuple(
-        tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows
-    )
+    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
     n = len(rows)
     if n == 0:
         raise InputError("matrix must have at least one point")
@@ -136,7 +130,7 @@ def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
         if len(row) != n:
             raise InputError(f"matrix row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if v.numerator < 0:
+            if v < 0:
                 raise InputError(f"matrix[{i}][{j}] is negative")
     return rows
 
