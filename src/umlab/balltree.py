@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotUltrametricError
-from .metric import DistanceSet, FiniteMetric, single_linkage, validate
+from .metric import DistanceSet, FiniteMetric, validate
 from .qo import assign
 from .rationals import format_rational
 
@@ -123,12 +123,11 @@ def to_ball_tree(m: FiniteMetric) -> BallTree:
     """Cluster an ultrametric matrix into its canonical ball tree.
 
     Point i becomes the leaf named str(i).  Raises NotUltrametricError
-    (with a witness triple) otherwise.  The balls are the merges of
-    `metric.single_linkage`, so an internal node is only created where a
-    distance is actually realized and no node ever has a single child.
-    Children are ordered by least point index before `canonicalize`.
-    On an ultrametric `validate` runs the same O(n^2) pass and no cubic
-    scan.
+    (with a witness triple) otherwise.  The nodes are the balls that
+    `validate` found by `metric.single_linkage`, so an internal node is
+    only created where a distance is actually realized and no node ever
+    has a single child.  Children are ordered by least point index
+    before `canonicalize`.
     """
     report = validate(m.rows)
     if not report.is_ultrametric:
@@ -139,7 +138,7 @@ def to_ball_tree(m: FiniteMetric) -> BallTree:
             witness,
         )
     nodes = [leaf(str(p)) for p in range(m.n)]
-    for label, kids in single_linkage(m.rows):
+    for label, kids in report.balls:
         nodes.append(BallTree(label, None, tuple(nodes[k] for k in kids)))
     return canonicalize(nodes[-1])
 
@@ -174,9 +173,11 @@ def chain(values, prefix: str = "") -> BallTree:
 def canonical_space(ds: DistanceSet) -> BallTree:
     """The space on the set itself, with d(r, r') = max(r, r').
 
-    Realizes exactly the given distances.
+    Realizes exactly the given distances.  The chain is already
+    canonical: each level's children are (subtree, leaf), and a
+    subtree's code starts with "(", which sorts before a leaf's "L".
     """
-    return canonicalize(chain(ds.values))
+    return chain(ds.values)
 
 
 def matching_exists(xs, ys, fits) -> bool:

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .balltree import BallTree, internal, leaf, to_ball_tree
+from .balltree import BallTree, leaf, to_ball_tree
 from .errors import InputError
 from .metric import FiniteMetric, validate
 from .qo import OMEGA, Mult, Omega, OmegaMultiset, QuasiOrder, closure
@@ -114,7 +114,7 @@ def _parse_tree_node(node, path: str, parent_label: Fraction | None) -> BallTree
     kids = tuple(
         _parse_tree_node(c, f"{path}.children[{k}]", label) for k, c in enumerate(children)
     )
-    return internal(label, kids)
+    return BallTree(label, None, kids)
 
 
 def space_to_tree(space: FiniteMetric | BallTree) -> BallTree:

@@ -90,6 +90,7 @@ class ValidationReport:
     is_ultrametric: bool
     violations: tuple[Violation, ...]
     realized: DistanceSet
+    balls: tuple[Ball, ...] | None = None  # `single_linkage`'s, on an ultrametric
 
     def ultrametric_witness(self) -> tuple[int, int, int] | None:
         for v in self.violations:
@@ -100,20 +101,17 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class FiniteMetric:
-    """A validated finite metric space (n points, symmetric exact matrix)."""
+    """A finite space (n points, exact matrix); only `from_rows` validates it."""
 
     n: int
     rows: tuple[tuple[Fraction, ...], ...]
 
     @classmethod
-    def from_rows(cls, rows, *, require_metric: bool = True) -> "FiniteMetric":
+    def from_rows(cls, rows) -> "FiniteMetric":
         rows = _coerce_matrix(rows)
-        if require_metric:
-            report = validate(rows)
-            if not report.is_metric:
-                raise InputError(
-                    "not a metric: " + report.violations[0].describe()
-                )
+        report = validate(rows)
+        if not report.is_metric:
+            raise InputError("not a metric: " + report.violations[0].describe())
         return cls(len(rows), rows)
 
     def distance(self, i: int, j: int) -> Fraction:
@@ -144,14 +142,15 @@ def validate(rows) -> ValidationReport:
     entries together with 0 regardless of validity.
 
     An ultrametric is recognized by `single_linkage` in O(n^2), which
-    also proves the pair axioms; only a matrix that is not one pays the
-    pair checks and the cubic scans that list its violations.
+    also proves the pair axioms and yields `balls`; only a matrix that
+    is not one pays the pair checks and the cubic scans that list its
+    violations.
     """
     rows = _coerce_matrix(rows)
     balls = single_linkage(rows)
     if balls is not None:
         realized = DistanceSet.from_values(label for label, _ in balls)
-        return ValidationReport(True, True, (), realized)
+        return ValidationReport(True, True, (), realized, balls)
     n = len(rows)
     violations: list[Violation] = []
     for i in range(n):

@@ -87,6 +87,10 @@ def test_canonical_space_examples():
     assert canonical_code(two) == canonical_code(internal(F(1), [leaf(), leaf()]))
     comb = canonical_space(DistanceSet.from_values([F(1), F(2)]))
     assert realized_of_tree(comb).values == (F(0), F(1), F(2))
+    rng = random.Random(13)
+    for size in [1, 2, 3, *rng.sample(range(4, 150), 20), 150]:
+        values = [F(v, 3) for v in sorted(rng.sample(range(1000), size))]
+        assert canonicalize(chain(values)) == chain(values)  # leaf ids too
 
 
 def test_embeds_examples():
@@ -297,6 +301,8 @@ def test_validate_fast_path_agrees_with_cubic_scan():
                    [v.describe() for v in report.violations])
             assert got == scan_validate(rows)
             assert report.realized == DistanceSet.from_values(v for row in rows for v in row)
+            assert report.balls == metric.single_linkage(rows)
+            assert (report.balls is None) == (not report.is_ultrametric)
             outcomes[got[:2]] = outcomes.get(got[:2], 0) + 1
     assert outcomes[True, True] > 150  # every other outcome occurs too
     assert outcomes[True, False] > 30 and outcomes[False, False] > 30

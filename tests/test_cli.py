@@ -160,7 +160,7 @@ def test_too_deep_input_exit_2(files, capsys):
                          ",".join(str(600 - k) for k in range(600)))
     assert code == 2 and out == ""
     assert err.startswith("error: input nested too deeply")
-    values = ",".join(str(k) for k in range(1, 701))
+    values = ",".join(str(k) for k in range(1, 5001))
     code, out, err = run(capsys, "reduce", "powerset", "--values", values)
     assert code == 2 and out == ""
     assert err.startswith("error: input nested too deeply")

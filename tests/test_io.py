@@ -73,6 +73,20 @@ def test_tree_node_invariants_enforced_at_parse():
     with pytest.raises(InputError, match=r"children\[0\].label"):
         parse_space(bad)
 
+    def nested(label):
+        inner = {"label": label, "children": [{"leaf": "a"}, {"leaf": "b"}]}
+        middle = {"label": "2", "children": [{"leaf": "c"}, inner]}
+        return {"kind": "balltree", "tree": {"label": "3", "children": [middle, {"leaf": "d"}]}}
+
+    where = "tree.children[0].children[1].label: "
+    for label, message in (("0", "must be positive"), ("-1/2", "must be positive"),
+                           ("2", "must be strictly below the parent label"),
+                           ("5/2", "must be strictly below the parent label")):
+        with pytest.raises(InputError) as err:
+            parse_space(nested(label))
+        assert str(err.value) == where + message
+    assert parse_space(nested("1")).children[0].children[1].label == 1
+
 
 def test_space_to_tree_requires_ultrametric():
     path = {"kind": "matrix", "matrix": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]}
