@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import InputError, NotUltrametricError
 from .metric import DistanceSet, FiniteMetric, validate
 from .qo import assign
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 CanonCode = bytes
 
@@ -49,7 +49,7 @@ def leaf(point: str = "p") -> BallTree:
 def internal(label: Fraction, children) -> BallTree:
     """Build an internal node, enforcing the ball-tree invariants."""
     children = tuple(children)
-    label = Fraction(label)
+    label = exact(label)
     if label <= 0:
         raise InputError("internal label must be positive")
     if len(children) < 2:

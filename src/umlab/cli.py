@@ -239,8 +239,9 @@ def _qo(args, fmt: str) -> int:
             ]
         return _decision(doc, "inj_le", fmt)
     # einj
-    by_char = qo.einj_equivalent(left, right)
-    by_flow = None
+    by_char = by_flow = None
+    if args.method == "char" or args.paranoid:
+        by_char = qo.einj_equivalent(left, right)
     if args.method == "flow" or args.paranoid:
         by_flow = qo.inj_le(left, right)[0] and qo.inj_le(right, left)[0]
     answer = by_char if args.method == "char" else by_flow

@@ -32,6 +32,7 @@ from . import balltree as bt
 from . import io as uio
 from . import metric as mt
 from . import qo
+from . import rationals
 from . import reduce as red
 from .errors import InputError
 
@@ -115,12 +116,8 @@ def gen_qo(seed: int, n: int, density) -> qo.QuasiOrder:
         if i != j and rng.random() < density
     ]
     order = qo.closure(n, pairs)
-    strict = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if order.le[i][j] and not order.le[j][i]
-    ]
+    up = order.up
+    strict = [(i, j) for i, row in enumerate(up) for j in range(n) if row >> j & 1 and up[j] != row]
     collapsed = [(j, i) for i, j in strict if rng.random() < 0.3]
     if collapsed:
         order = qo.closure(n, pairs + collapsed)
@@ -131,10 +128,8 @@ def gen_equivalence(seed: int, n: int, max_blocks: int) -> qo.QuasiOrder:
     """A random equivalence relation with at most max_blocks classes."""
     rng = random.Random(check_seed(seed))
     blocks = [rng.randrange(max(1, max_blocks)) for _ in range(n)]
-    le = tuple(
-        tuple(blocks[i] == blocks[j] for j in range(n)) for i in range(n)
-    )
-    return qo.QuasiOrder(n, le)
+    up = tuple(sum(1 << j for j, c in enumerate(blocks) if c == b) for b in blocks)
+    return qo.QuasiOrder(n, up)
 
 
 def gen_multiset(
@@ -343,7 +338,7 @@ def _edit_multiset(rng: random.Random, ms: qo.OmegaMultiset) -> qo.OmegaMultiset
 def enumerate_ball_trees(labels, max_leaves: int) -> list[bt.BallTree]:
     """All canonical ball trees with at most max_leaves leaves and
     internal labels from the given positive values."""
-    labels = tuple(sorted(Fraction(v) for v in labels))
+    labels = tuple(sorted(map(rationals.exact, labels)))
     if any(v <= 0 for v in labels):
         raise InputError("labels must be positive")
 
@@ -861,7 +856,7 @@ def _prop_iterate_sanity(trial, rng, bounds):
     base, a, _ = _gen_instance(rng, bounds, require_omega=trial % 3 == 0).values()
     inputs = {"qo": base, "multiset": a}
     trace = qo.iterate_levels(a)
-    levels, core, le = trace.levels, trace.core, base.le
+    levels, core, up = trace.levels, trace.core, base.up
     yield _holds(inputs, "level 0 equals support", levels[0] == frozenset(a.support), levels[0])
     yield _holds(inputs, "levels strictly decreasing until stabilization",
                  all(lo < hi for lo, hi in zip(levels[1:], levels)), levels)
@@ -869,11 +864,12 @@ def _prop_iterate_sanity(trial, rng, bounds):
                  trace.stabilized_at <= len(a.support), trace.stabilized_at)
     # downward closed within support, which also gives class invariance
     outside = [x for level in levels for x in a.support
-               if x not in level and any(le[x][y] for y in level)]
+               if x not in level and up[x] & sum(1 << y for y in level)]
     yield _holds(inputs, "levels downward closed within support", not outside, outside)
     omegas = set(a.omega_elements())
     yield _holds(inputs, "omega elements stay in the core", omegas <= core, core)
-    unseen = [x for x in core if not any(y in omegas and le[x][y] for y in core)]
+    above = sum(1 << y for y in core & omegas)
+    unseen = [x for x in core if not up[x] & above]
     yield _holds(inputs, "every core element sees an omega element above it in the core",
                  not unseen, unseen)
 

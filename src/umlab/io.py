@@ -162,7 +162,7 @@ def parse_qo(doc) -> QuasiOrder:
 
 
 def qo_doc(s: QuasiOrder) -> dict:
-    pairs = [[i, j] for i in range(s.n) for j in range(s.n) if i != j and s.le[i][j]]
+    pairs = [[i, j] for i, row in enumerate(s.up) for j in range(s.n) if j != i and row >> j & 1]
     return {"n": s.n, "pairs": pairs}
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, SizeBoundError
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 DEFAULT_BRUTE_BOUND = 8
 
@@ -41,8 +41,8 @@ class DistanceSet:
 
     @classmethod
     def from_values(cls, values) -> "DistanceSet":
-        """Build a distance set from arbitrary values, adding 0."""
-        vals = set(Fraction(v) for v in values)
+        """Build a distance set from Fractions or ints, adding 0."""
+        vals = set(map(exact, values))
         vals.add(Fraction(0))
         if any(v < 0 for v in vals):
             raise InputError("distances must be nonnegative")
@@ -120,7 +120,7 @@ class FiniteMetric:
 
 def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
     """Check shape and entry types; negative entries are an input error."""
-    rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+    rows = tuple(tuple(map(exact, row)) for row in rows)
     n = len(rows)
     if n == 0:
         raise InputError("matrix must have at least one point")
@@ -275,7 +275,7 @@ def brute_isometric(a: FiniteMetric, b: FiniteMetric, *, bound: int = DEFAULT_BR
         _point_signature(b, j) for j in range(b.n)
     ):
         return False
-    return _search_injection(a, b, surjective=True)
+    return _search_injection(a, b)
 
 
 def brute_embeds(a: FiniteMetric, b: FiniteMetric, *, bound: int = DEFAULT_BRUTE_BOUND) -> bool:
@@ -284,10 +284,10 @@ def brute_embeds(a: FiniteMetric, b: FiniteMetric, *, bound: int = DEFAULT_BRUTE
         raise SizeBoundError(f"brute_embeds refuses spaces above {bound} points")
     if a.n > b.n:
         return False
-    return _search_injection(a, b, surjective=False)
+    return _search_injection(a, b)
 
 
-def _search_injection(a: FiniteMetric, b: FiniteMetric, *, surjective: bool) -> bool:
+def _search_injection(a: FiniteMetric, b: FiniteMetric) -> bool:
     image: list[int] = []
     used = [False] * b.n
 
@@ -306,8 +306,6 @@ def _search_injection(a: FiniteMetric, b: FiniteMetric, *, surjective: bool) -> 
                 used[j] = False
         return False
 
-    if surjective and a.n != b.n:
-        return False
     return extend(0)
 
 

@@ -1,5 +1,8 @@
 """Finite quasi-orders and jump relations on omega-multisets.
 
+A quasi-order is stored as one int bitset per element, its upper cone;
+the relations below test supports, levels and cores against it as masks.
+
 An omega-multiset assigns each carrier element a multiplicity in
 {1, 2, 3, ...} or omega; it stands in for an infinite sequence over the
 carrier, listed up to reordering (legitimate because the two jump
@@ -23,6 +26,7 @@ campaigns verify.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -81,18 +85,19 @@ def check_mult(m: Mult) -> Mult:
 
 @dataclass(frozen=True)
 class QuasiOrder:
-    """A reflexive-transitive boolean relation on {0, ..., n-1}."""
+    """A reflexive-transitive relation on {0, ..., n-1} as bitset rows:
+    bit j of up[i] is set exactly when i <= j (up[i] is i's upper cone)."""
 
     n: int
-    le: tuple[tuple[bool, ...], ...]
+    up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1 or len(self.le) != self.n or any(len(r) != self.n for r in self.le):
-            raise InputError("relation matrix must be n x n with n >= 1")
-        for i in range(self.n):
-            if not self.le[i][i]:
+        n, up = self.n, self.up
+        if n < 1 or len(up) != n or any(not isinstance(r, int) or r < 0 or r >> n for r in up):
+            raise InputError("relation must be n bitset rows below 2**n with n >= 1")
+        for i, row in enumerate(up):
+            if not row >> i & 1:
                 raise InputError(f"relation is not reflexive at {i}")
-        up = [_bitset(row) for row in self.le]
         for i, row in enumerate(up):
             rest = row
             while rest:
@@ -103,23 +108,23 @@ class QuasiOrder:
                     k = (missing & -missing).bit_length() - 1
                     raise InputError(f"relation is not transitive at ({i},{j},{k})")
 
+    def le(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
+
     def is_symmetric(self) -> bool:
-        return all(
-            self.le[i][j] == self.le[j][i] for i in range(self.n) for j in range(self.n)
-        )
+        """Whether the order is an equivalence: each upper cone holds no
+        more elements than share it (those always lie in it)."""
+        return all(row.bit_count() == k for row, k in Counter(self.up).items())
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bitset(row) -> int:
-    """The int whose bit j is set exactly when row[j] holds."""
-    return int(bytes(row[::-1]).translate(_BIT_CHARS), 2)
+def _mask(elements) -> int:
+    """The bitset of the given distinct carrier elements."""
+    return sum(1 << x for x in elements)
 
 
 def closure(n: int, pairs) -> QuasiOrder:
     """Reflexive-transitive closure of the given ordered pairs
-    (Warshall's algorithm on int bitset rows)."""
+    (Warshall's algorithm on the bitset rows)."""
     if n < 1:
         raise InputError("carrier size must be >= 1")
     rows = [1 << i for i in range(n)]
@@ -132,31 +137,28 @@ def closure(n: int, pairs) -> QuasiOrder:
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return QuasiOrder(
-        n, tuple(tuple(c == "1" for c in format(row, f"0{n}b")[::-1]) for row in rows)
-    )
+    return QuasiOrder(n, tuple(rows))
 
 
 def es_classes(s: QuasiOrder) -> tuple[tuple[int, ...], ...]:
-    """Partition into classes of mutual comparability, ordered by least member."""
-    seen = [False] * s.n
-    classes: list[tuple[int, ...]] = []
-    for i in range(s.n):
-        if seen[i]:
-            continue
-        cls = [j for j in range(s.n) if s.le[i][j] and s.le[j][i]]
-        for j in cls:
-            seen[j] = True
-        classes.append(tuple(cls))
-    return tuple(classes)
+    """Partition into classes of mutual comparability, ordered by least
+    member; x <= y <= x holds exactly when x and y share their upper cone."""
+    classes: dict[int, list[int]] = {}
+    for i, row in enumerate(s.up):
+        classes.setdefault(row, []).append(i)
+    return tuple(tuple(c) for c in classes.values())
 
 
 def has_incomparable_pair(s: QuasiOrder) -> tuple[bool, tuple[int, int] | None]:
     """The least pair (x, y) with neither x <= y nor y <= x, if any."""
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            if not s.le[i][j] and not s.le[j][i]:
+    up = s.up
+    for i, row in enumerate(up):
+        rest = ~row & (1 << s.n) - (2 << i)  # every j > i with not i <= j
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            if not up[j] >> i & 1:
                 return True, (i, j)
+            rest &= rest - 1
     return False, None
 
 
@@ -204,12 +206,8 @@ class OmegaMultiset:
         missing from the support contribute nothing.  Returns 0 when
         nothing of the class is present.
         """
-        le = self.base.le
-        total: Mult = 0
-        for x, m in self.entries:
-            if le[x][element] and le[element][x]:
-                total = total + m  # omega absorbs
-        return total
+        up = self.base.up
+        return sum((m for x, m in self.entries if up[x] == up[element]), 0)  # omega absorbs
 
 
 def _check_pair(a: OmegaMultiset, b: OmegaMultiset) -> None:
@@ -226,8 +224,8 @@ def cf_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     infinitely often) never changes this relation.
     """
     _check_pair(a, b)
-    le = a.base.le
-    return all(any(le[x][y] for y in b.support) for x in a.support)
+    up, targets = a.base.up, _mask(b.support)
+    return all(up[x] & targets for x in a.support)
 
 
 @dataclass(frozen=True)
@@ -241,10 +239,9 @@ def verify_witness(a: OmegaMultiset, b: OmegaMultiset, w: Witness) -> bool:
     """Row sums match source multiplicities; columns stay within capacity;
     every used pair respects the base order.  Omega capacity absorbs any
     combination; omega demand must be covered by omega assignments."""
-    le = a.base.le
-    if any(not le[x][y] for x, y, _ in w.entries):
-        return False
     if any(x not in a.support or y not in b.support for x, y, _ in w.entries):
+        return False
+    if any(not a.base.le(x, y) for x, y, _ in w.entries):
         return False
     for x, m in a.entries:
         parts = [amt for (src, _, amt) in w.entries if src == x]
@@ -329,11 +326,11 @@ def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:
     whole finite demand.
     """
     _check_pair(a, b)
-    le = a.base.le
+    up = a.base.up
     omega_targets = b.omega_elements()
     witness_entries: list[tuple[int, int, Mult]] = []
     for x in a.omega_elements():
-        target = next((y for y in omega_targets if le[x][y]), None)
+        target = next((y for y in omega_targets if up[x] >> y & 1), None)
         if target is None:
             return False, None
         witness_entries.append((x, target, OMEGA))
@@ -341,7 +338,7 @@ def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:
     xs, need = [x for x, _ in finite], [m for _, m in finite]
     total_demand, ys = sum(need), b.support
     room = [total_demand if isinstance(m, Omega) else m for _, m in b.entries]
-    placed = assign(need, room, lambda i, j: le[xs[i]][ys[j]])
+    placed = assign(need, room, lambda i, j: up[xs[i]] >> ys[j] & 1)
     if placed is None:
         return False, None
     witness_entries.extend(sorted((xs[i], ys[j], amt) for (i, j), amt in placed.items()))
@@ -369,14 +366,13 @@ def iterate_levels(a: OmegaMultiset) -> IterationTrace:
     the current level) carries multiplicity omega: over finite support,
     infinitely many successors force an omega multiplicity.
     """
-    le = a.base.le
-    omegas = set(a.omega_elements())
+    up = a.base.up
+    omegas = _mask(a.omega_elements())
     levels = [frozenset(a.support)]
     while True:
         cur = levels[-1]
-        nxt = frozenset(
-            x for x in cur if any(y in omegas and le[x][y] for y in cur)
-        )
+        above = omegas & _mask(cur)
+        nxt = frozenset(x for x in cur if up[x] & above)
         if nxt == cur:
             break
         levels.append(nxt)
@@ -391,7 +387,7 @@ def einj_equivalent(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     cofinality of the cores.
     """
     _check_pair(a, b)
-    le = a.base.le
+    up = a.base.up
     ta = iterate_levels(a)
     tb = iterate_levels(b)
     if ta.stabilized_at != tb.stabilized_at:
@@ -402,11 +398,8 @@ def einj_equivalent(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     for y in b.support:
         if y not in tb.core and b.class_mass(y) != a.class_mass(y):
             return False
-    if not all(any(le[x][y] for y in tb.core) for x in ta.core):
-        return False
-    if not all(any(le[y][x] for x in ta.core) for y in tb.core):
-        return False
-    return True
+    core_a, core_b = _mask(ta.core), _mask(tb.core)
+    return all(up[x] & core_b for x in ta.core) and all(up[y] & core_a for y in tb.core)
 
 
 def wqo_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
@@ -418,20 +411,17 @@ def wqo_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     Every finite quasi-order is a wqo, so the split always applies.
     """
     _check_pair(a, b)
-    le = a.base.le
-    omegas_b = set(b.omega_elements())
-    fringe = [
-        y for y in b.support if not any(z in omegas_b and le[y][z] for z in b.support)
-    ]
-    k_part = [y for y in b.support if y not in fringe]
-    absorbed = {x for x in a.support if any(le[x][y] for y in k_part)}
+    up, omegas_b = a.base.up, _mask(b.omega_elements())
+    fringe = [y for y in b.support if not up[y] & omegas_b]
+    k_part = _mask(b.support) & ~_mask(fringe)
+    absorbed = {x for x in a.support if up[x] & k_part}
     if any(x not in absorbed for x in a.omega_elements()):
         return False
     remaining = [(x, m) for x, m in a.finite_entries() if x not in absorbed]
     caps = [(y, m) for y, m in b.entries if y in fringe]
     assert all(not isinstance(c, Omega) for _, c in caps)
     placed = assign([m for _, m in remaining], [c for _, c in caps],
-                    lambda i, j: le[remaining[i][0]][caps[j][0]])
+                    lambda i, j: up[remaining[i][0]] >> caps[j][0] & 1)
     return placed is not None
 
 

@@ -42,6 +42,16 @@ def parse_rational(text: str, where: str = "value") -> Fraction:
     return Fraction(num, den)
 
 
+def exact(value) -> Fraction:
+    """A distance given as a Fraction (returned as is) or an int; a float,
+    a string or any other type is an input error."""
+    if type(value) is Fraction:  # exact type tests: no ABC check, no copy
+        return value
+    if type(value) is int:
+        return Fraction(value)
+    raise InputError(f"distance: expected a Fraction or an int, got {value!r}")
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction in the canonical string form."""
     if value.denominator == 1:

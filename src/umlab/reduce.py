@@ -31,7 +31,7 @@ from .balltree import (
 )
 from .errors import InputError
 from .metric import DistanceSet, FiniteMetric
-from .rationals import format_rational
+from .rationals import exact, format_rational
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class Graph:
 
 
 def check_decreasing(radii) -> tuple[Fraction, ...]:
-    radii = tuple(Fraction(r) for r in radii)
+    radii = tuple(map(exact, radii))
     if not radii or any(r <= 0 for r in radii):
         raise InputError("need a nonempty sequence of positive distances")
     if any(nxt >= cur for cur, nxt in zip(radii, radii[1:])):
@@ -238,7 +238,7 @@ def rank_ultrametric(t: RootedTree, radii) -> BallTree:
     entries than rank(t) + 1.  The smallest positive distance radii[1]
     occurs exactly between an original leaf and its appended child.
     """
-    radii = tuple(Fraction(r) for r in radii)
+    radii = tuple(map(exact, radii))
     if not radii or radii[0] != 0:
         raise InputError("rank radii must start at 0")
     if any(lo >= hi for lo, hi in zip(radii, radii[1:])):
@@ -283,7 +283,7 @@ def glue_canonical(u: BallTree, ds: DistanceSet, rbar: Fraction) -> BallTree:
     distances of u drawn from ds.  The result realizes every value of
     ds except possibly the removed one (which u itself may realize).
     """
-    rbar = Fraction(rbar)
+    rbar = exact(rbar)
     if len(ds) < 2:
         raise InputError("glue needs a distance set with at least 2 values")
     if rbar not in ds:
@@ -316,7 +316,7 @@ def union_at_distance(spaces, r: Fraction) -> BallTree:
     returned unchanged.  Every distance inside a component must be < r.
     """
     spaces = list(spaces)
-    r = Fraction(r)
+    r = exact(r)
     if not spaces:
         raise InputError("need at least one space")
     if r <= 0:
@@ -376,7 +376,7 @@ def graph_metric(g: Graph, r: Fraction, rp: Fraction) -> FiniteMetric:
     Requires 0 < r < rp <= 2r, which makes the result a metric (though
     generally not an ultrametric).
     """
-    r, rp = Fraction(r), Fraction(rp)
+    r, rp = exact(r), exact(rp)
     if not 0 < r < rp or rp > 2 * r:
         raise InputError("need 0 < r < rp <= 2r")
     rows = [
@@ -433,7 +433,7 @@ def subset_space(values) -> BallTree:
     Set inclusion corresponds exactly to isometric embeddability of the
     resulting spaces.
     """
-    vals = [Fraction(v) for v in values]
+    vals = list(map(exact, values))
     if any(v <= 0 for v in vals):
         raise InputError("subset values must be positive")
     return canonical_space(DistanceSet.from_values(vals))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from umlab import qo
 from umlab.cli import main
 from umlab.genlab import property_names
 
@@ -120,6 +121,20 @@ def test_qo_cf_einj_iterate_classes(files, capsys):
 
     code, out, _ = run(capsys, "qo", "classes", order)
     assert code == 0 and json.loads(out)["classes"] == [[0], [1], [2]]
+
+
+def test_qo_einj_flow_skips_the_characterization(files, capsys, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("einj_equivalent ran under --method flow")
+
+    monkeypatch.setattr(qo, "einj_equivalent", refuse)
+    order = files("qo.json", {"n": 3, "pairs": [[0, 1], [1, 2]]})
+    a = files("a.json", {"mults": {"0": 2, "1": "omega", "2": 5}})
+    b = files("b.json", {"mults": {"0": 2, "1": "omega", "2": 4}})
+    code, out, _ = run(capsys, "qo", "einj", order, a, a, "--method", "flow")
+    assert code == 0 and json.loads(out) == {"einj": True, "method": "flow"}
+    code, out, _ = run(capsys, "qo", "einj", order, a, b, "--method", "flow")
+    assert code == 1 and json.loads(out) == {"einj": False, "method": "flow"}
 
     code, out, _ = run(capsys, "qo", "incomparable", order)
     assert code == 1 and json.loads(out)["incomparable"] is False

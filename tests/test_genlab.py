@@ -102,7 +102,7 @@ def test_gen_qo_density_extremes():
     for seed in range(50):
         order = gen_qo(seed, 5, F(1, 3))
         le_pairs = [
-            (i, j) for i in range(5) for j in range(5) if order.le[i][j]
+            (i, j) for i in range(5) for j in range(5) if order.le(i, j)
         ]
         assert closure(5, le_pairs) == order  # already closed
 

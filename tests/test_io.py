@@ -105,7 +105,7 @@ def test_load_json_reports_position(tmp_path):
 
 def test_qo_round_trip_and_closure_on_load():
     order = parse_qo({"n": 3, "pairs": [[0, 1], [1, 2]]})
-    assert order.le[0][2]  # closure applied
+    assert order.le(0, 2)  # closure applied
     assert parse_qo(qo_doc(order)) == order
     with pytest.raises(InputError):
         parse_qo({"n": 2, "pairs": [[0, 5]]})

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from umlab.errors import BaseMismatchError, InputError
 from umlab.genlab import gen_equivalence, gen_multiset, gen_qo
+from umlab.io import parse_qo, qo_doc
 from umlab.qo import (
     OMEGA,
     Omega,
@@ -41,8 +42,9 @@ def ms(base, mults):
 # ---------------------------------------------------------------------------
 
 def test_closure_examples():
-    assert EQ2.le == ((True, False), (False, True))
-    assert CHAIN3.le[0][2]
+    assert EQ2.up == (0b01, 0b10)
+    assert CHAIN3.up == (0b111, 0b110, 0b100)  # bit j of up[i]: i <= j
+    assert CHAIN3.le(0, 2) and not CHAIN3.le(2, 0)
     with pytest.raises(InputError):
         closure(2, [(0, 5)])
 
@@ -55,15 +57,70 @@ def test_closure_examples():
 def test_closure_idempotent(n, pairs):
     pairs = [(i % n, j % n) for i, j in pairs]
     once = closure(n, pairs)
-    le_pairs = [(i, j) for i in range(n) for j in range(n) if once.le[i][j]]
+    le_pairs = [(i, j) for i in range(n) for j in range(n) if once.le(i, j)]
     assert closure(n, le_pairs) == once
 
 
+def reference_closure(n, pairs):
+    """The closure as a bool matrix, by the plain triple loop."""
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        le[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if le[i][k]:
+                le[i] = [a or b for a, b in zip(le[i], le[k])]
+    return le
+
+
+def test_bitset_rows_agree_with_bool_matrix_reference():
+    rng = random.Random(15)
+    cases = []
+    for trial in range(120):
+        n = rng.randint(1, 12)
+        density = rng.choice((0.05, 0.15, 0.3))
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        if trial % 3 == 0:  # an equivalence relation
+            pairs += [(j, i) for i, j in pairs]
+        cases.append((n, pairs))
+    cases.append((200, [(rng.randrange(200), rng.randrange(200)) for _ in range(400)]))
+    for n, pairs in cases:
+        order, le = closure(n, pairs), reference_closure(n, pairs)
+        assert [[order.le(i, j) for j in range(n)] for i in range(n)] == le
+        same = [[le[i][j] and le[j][i] for j in range(n)] for i in range(n)]
+        classes = []
+        for i in range(n):
+            if not any(i in c for c in classes):
+                classes.append(tuple(j for j in range(n) if same[i][j]))
+        assert es_classes(order) == tuple(classes)
+        incomparable = [(i, j) for i in range(n) for j in range(i + 1, n)
+                        if not le[i][j] and not le[j][i]]
+        assert has_incomparable_pair(order) == (
+            (True, incomparable[0]) if incomparable else (False, None)
+        )
+        assert order.is_symmetric() == all(
+            le[i][j] == le[j][i] for i in range(n) for j in range(n)
+        )
+        mults = {x: rng.choice((1, 2, 3, OMEGA)) for x in rng.sample(range(n), min(n, 6))}
+        multiset = ms(order, mults)
+        for e in range(n):
+            total = 0
+            for x, m in mults.items():
+                if same[x][e]:
+                    total = total + m
+            assert multiset.class_mass(e) == total
+        doc = qo_doc(order)
+        assert doc["pairs"] == [[i, j] for i in range(n) for j in range(n) if i != j and le[i][j]]
+        assert parse_qo(doc) == order
+
+
 def test_quasiorder_rejects_broken_relations():
+    with pytest.raises(InputError, match="bitset rows"):
+        QuasiOrder(2, (0b01, 0b110))  # bit 2 is outside the carrier
     with pytest.raises(InputError):
-        QuasiOrder(2, ((False, False), (False, True)))  # not reflexive
+        QuasiOrder(2, (0b00, 0b10))  # not reflexive
     with pytest.raises(InputError, match=r"^relation is not transitive at \(0,1,2\)$"):
-        QuasiOrder(3, ((True, True, False), (False, True, True), (False, False, True)))
+        QuasiOrder(3, (0b011, 0b110, 0b100))
 
 
 def test_es_classes():
@@ -89,7 +146,7 @@ def test_incomparable_agrees_with_complement_scan():
             (i, j)
             for i in range(base.n)
             for j in range(base.n)
-            if base.le[i][j] or base.le[j][i]
+            if base.le(i, j) or base.le(j, i)
         }
         complement = [
             (i, j)
@@ -139,7 +196,7 @@ def test_inj_witness_respects_order():
     ok, witness = inj_le(a, b)
     assert ok
     assert verify_witness(a, b, witness)
-    assert all(CHAIN3.le[x][y] for x, y, _ in witness.entries)
+    assert all(CHAIN3.le(x, y) for x, y, _ in witness.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +268,7 @@ def truncation_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
         if key in memo:
             return memo[key]
         x, demand = sources[i]
-        slots = [t for t, y in enumerate(targets) if le[x][y]]
+        slots = [t for t, y in enumerate(targets) if le(x, y)]
 
         def place(j: int, remaining: int, caps_now: tuple[int, ...]) -> bool:
             if remaining == 0:
