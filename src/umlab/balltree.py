@@ -14,10 +14,10 @@ check memoizes per call only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotUltrametricError
+from .frozen import Frozen, setfield
 from .metric import DistanceSet, FiniteMetric, validate
 from .qo import assign
 from .rationals import exact, format_rational
@@ -25,11 +25,13 @@ from .rationals import exact, format_rational
 CanonCode = bytes
 
 
-@dataclass(frozen=True)
-class BallTree:
-    label: Fraction | None  # None at leaves
-    point: str | None  # None at internal nodes
-    children: tuple["BallTree", ...]
+class BallTree(Frozen):
+    __slots__ = ("label", "point", "children")
+
+    def __init__(self, label: Fraction | None, point: str | None, children: tuple[BallTree, ...]):
+        setfield(self, "label", label)  # None at leaves
+        setfield(self, "point", point)  # None at internal nodes
+        setfield(self, "children", children)
 
     @property
     def is_leaf(self) -> bool:

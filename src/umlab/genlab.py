@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,6 +34,7 @@ from . import qo
 from . import rationals
 from . import reduce as red
 from .errors import InputError
+from .frozen import Frozen, setfield
 
 _MASK = (1 << 64) - 1
 
@@ -393,17 +393,19 @@ def _wellspaced_universe() -> tuple[tuple[Fraction, ...], ...]:
 # Campaign machinery.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bounds:
-    max_nodes: int | None = None
-    max_points: int | None = None
-    max_support: int | None = None
+class Bounds(Frozen):
+    __slots__ = ("max_nodes", "max_points", "max_support")
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+    def __init__(
+        self,
+        max_nodes: int | None = None,
+        max_points: int | None = None,
+        max_support: int | None = None,
+    ):
+        for name, value in zip(self.__slots__, (max_nodes, max_points, max_support)):
             if value is not None and value < 1:
-                raise InputError(f"{f.name} must be at least 1, got {value}")
+                raise InputError(f"{name} must be at least 1, got {value}")
+            setfield(self, name, value)
 
     def nodes(self, default: int) -> int:
         return self.max_nodes if self.max_nodes is not None else default
@@ -415,24 +417,35 @@ class Bounds:
         return self.max_support if self.max_support is not None else default
 
 
-@dataclass(frozen=True)
-class Failure:
-    trial: int
-    inputs: dict
-    expected: str
-    got: str
+class Failure(Frozen):
+    __slots__ = ("trial", "inputs", "expected", "got")
+
+    def __init__(self, trial: int, inputs: dict, expected: str, got: str):
+        setfield(self, "trial", trial)
+        setfield(self, "inputs", inputs)
+        setfield(self, "expected", expected)
+        setfield(self, "got", got)
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass(frozen=True)
-class CampaignReport:
-    prop: str
-    trials: int
-    seed: int
-    failures: tuple[Failure, ...]
-    elapsed_seconds: float
+class CampaignReport(Frozen):
+    __slots__ = ("prop", "trials", "seed", "failures", "elapsed_seconds")
+
+    def __init__(
+        self,
+        prop: str,
+        trials: int,
+        seed: int,
+        failures: tuple[Failure, ...],
+        elapsed_seconds: float,
+    ):
+        setfield(self, "prop", prop)
+        setfield(self, "trials", trials)
+        setfield(self, "seed", seed)
+        setfield(self, "failures", failures)
+        setfield(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def passed(self) -> bool:
@@ -483,7 +496,7 @@ def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -
         rng = random.Random(derive_seed(seed, trial))
         failure = next(filter(None, fn(trial, rng, bounds)), None)
         if failure is not None:
-            failures.append(replace(failure, trial=trial))
+            failures.append(Failure(trial, failure.inputs, failure.expected, failure.got))
     elapsed = time.perf_counter() - start
     return CampaignReport(name, trials, seed, tuple(failures), elapsed)
 

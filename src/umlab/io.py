@@ -10,14 +10,14 @@ Formats:
 
 Rationals travel as canonical strings; every invariant of the target
 type is enforced at parse time, and errors carry the JSON path of the
-offending token.
+offending token.  A qo or graph carrier holds at most MAX_CARRIER
+elements: closure and the graph metric take memory quadratic in it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 from .balltree import BallTree, leaf, to_ball_tree
 from .errors import InputError
@@ -26,16 +26,23 @@ from .qo import OMEGA, Mult, Omega, OmegaMultiset, QuasiOrder, closure
 from .rationals import format_rational, parse_rational
 from .reduce import Graph, RootedTree
 
+MAX_CARRIER = 2048
 
-def load_json(path: str | Path):
+
+def load_json(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise InputError(f"{path}: an integer has too many digits") from exc
 
 
 def _require_dict(doc, what: str) -> dict:
@@ -48,6 +55,13 @@ def _require_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{where}: expected an integer, got {value!r}")
     return value
+
+
+def _require_carrier(doc: dict, where: str) -> int:
+    n = _require_int(doc.get("n"), where)
+    if n > MAX_CARRIER:
+        raise InputError(f"{where}: at most {MAX_CARRIER} elements are supported")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +161,7 @@ def _tree_node_doc(t: BallTree) -> dict:
 
 def parse_qo(doc) -> QuasiOrder:
     doc = _require_dict(doc, "qo")
-    n = _require_int(doc.get("n"), "qo.n")
+    n = _require_carrier(doc, "qo.n")
     pairs = doc.get("pairs", [])
     if not isinstance(pairs, list):
         raise InputError("qo.pairs: expected an array of pairs")
@@ -221,7 +235,7 @@ def tree_doc(t: RootedTree) -> dict:
 
 def parse_graph(doc) -> Graph:
     doc = _require_dict(doc, "graph")
-    n = _require_int(doc.get("n"), "graph.n")
+    n = _require_carrier(doc, "graph.n")
     edges = doc.get("edges", [])
     if not isinstance(edges, list):
         raise InputError("graph.edges: expected an array of pairs")

@@ -13,10 +13,10 @@ of hanging.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, SizeBoundError
+from .frozen import Frozen, setfield
 from .rationals import exact, format_rational
 
 DEFAULT_BRUTE_BOUND = 8
@@ -26,18 +26,18 @@ DEFAULT_BRUTE_BOUND = 8
 Ball = tuple[Fraction, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class DistanceSet:
+class DistanceSet(Frozen):
     """A strictly increasing tuple of distances, always starting at 0."""
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if not self.values or self.values[0] != 0:
+    def __init__(self, values: tuple[Fraction, ...]):
+        if not values or values[0] != 0:
             raise InputError("distance set must start at 0")
-        for lo, hi in zip(self.values, self.values[1:]):
+        for lo, hi in zip(values, values[1:]):
             if lo >= hi:
                 raise InputError("distance set must be strictly increasing")
+        setfield(self, "values", values)
 
     @classmethod
     def from_values(cls, values) -> "DistanceSet":
@@ -65,14 +65,17 @@ class DistanceSet:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Frozen):
     """One failed axiom instance: indices plus the two compared sides."""
 
-    kind: str  # "symmetry" | "diagonal" | "positivity" | "triangle" | "ultrametric"
-    indices: tuple[int, ...]
-    lhs: Fraction
-    rhs: Fraction
+    __slots__ = ("kind", "indices", "lhs", "rhs")
+
+    def __init__(self, kind: str, indices: tuple[int, ...], lhs: Fraction, rhs: Fraction):
+        # kind: "symmetry" | "diagonal" | "positivity" | "triangle" | "ultrametric"
+        setfield(self, "kind", kind)
+        setfield(self, "indices", indices)
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
     def describe(self) -> str:
         ix = ",".join(str(i) for i in self.indices)
@@ -84,13 +87,22 @@ class Violation:
         )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    is_metric: bool
-    is_ultrametric: bool
-    violations: tuple[Violation, ...]
-    realized: DistanceSet
-    balls: tuple[Ball, ...] | None = None  # `single_linkage`'s, on an ultrametric
+class ValidationReport(Frozen):
+    __slots__ = ("is_metric", "is_ultrametric", "violations", "realized", "balls")
+
+    def __init__(
+        self,
+        is_metric: bool,
+        is_ultrametric: bool,
+        violations: tuple[Violation, ...],
+        realized: DistanceSet,
+        balls: tuple[Ball, ...] | None = None,
+    ):
+        setfield(self, "is_metric", is_metric)
+        setfield(self, "is_ultrametric", is_ultrametric)
+        setfield(self, "violations", violations)
+        setfield(self, "realized", realized)
+        setfield(self, "balls", balls)  # `single_linkage`'s, on an ultrametric
 
     def ultrametric_witness(self) -> tuple[int, int, int] | None:
         for v in self.violations:
@@ -99,12 +111,14 @@ class ValidationReport:
         return None
 
 
-@dataclass(frozen=True)
-class FiniteMetric:
+class FiniteMetric(Frozen):
     """A finite space (n points, exact matrix); only `from_rows` validates it."""
 
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[tuple[Fraction, ...], ...]):
+        setfield(self, "n", n)
+        setfield(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "FiniteMetric":
@@ -128,7 +142,7 @@ def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
         if len(row) != n:
             raise InputError(f"matrix row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if v < 0:
+            if v.numerator < 0:  # `exact` made v a Fraction; no Python-level comparison
                 raise InputError(f"matrix[{i}][{j}] is negative")
     return rows
 
@@ -315,10 +329,12 @@ def is_well_spaced(ds: DistanceSet) -> bool:
     return all(2 * lo < hi for lo, hi in zip(pos, pos[1:]))
 
 
-@dataclass(frozen=True)
-class TriangleAudit:
-    all_isosceles: bool
-    witness: tuple[Fraction, Fraction, Fraction] | None
+class TriangleAudit(Frozen):
+    __slots__ = ("all_isosceles", "witness")
+
+    def __init__(self, all_isosceles: bool, witness: tuple[Fraction, Fraction, Fraction] | None):
+        setfield(self, "all_isosceles", all_isosceles)
+        setfield(self, "witness", witness)
 
 
 def triangle_audit(ds: DistanceSet) -> TriangleAudit:

@@ -27,10 +27,9 @@ campaigns verify.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Union
 
 from .errors import BaseMismatchError, InputError
+from .frozen import Frozen, setfield
 
 
 class Omega:
@@ -72,7 +71,7 @@ class Omega:
 
 
 OMEGA = Omega()
-Mult = Union[int, Omega]
+Mult = int | Omega
 
 
 def check_mult(m: Mult) -> Mult:
@@ -83,16 +82,13 @@ def check_mult(m: Mult) -> Mult:
     raise InputError(f"multiplicity must be a positive integer or omega, got {m!r}")
 
 
-@dataclass(frozen=True)
-class QuasiOrder:
+class QuasiOrder(Frozen):
     """A reflexive-transitive relation on {0, ..., n-1} as bitset rows:
     bit j of up[i] is set exactly when i <= j (up[i] is i's upper cone)."""
 
-    n: int
-    up: tuple[int, ...]
+    __slots__ = ("n", "up")
 
-    def __post_init__(self) -> None:
-        n, up = self.n, self.up
+    def __init__(self, n: int, up: tuple[int, ...]):
         if n < 1 or len(up) != n or any(not isinstance(r, int) or r < 0 or r >> n for r in up):
             raise InputError("relation must be n bitset rows below 2**n with n >= 1")
         for i, row in enumerate(up):
@@ -107,6 +103,8 @@ class QuasiOrder:
                 if missing:
                     k = (missing & -missing).bit_length() - 1
                     raise InputError(f"relation is not transitive at ({i},{j},{k})")
+        setfield(self, "n", n)
+        setfield(self, "up", up)
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
@@ -115,6 +113,14 @@ class QuasiOrder:
         """Whether the order is an equivalence: each upper cone holds no
         more elements than share it (those always lie in it)."""
         return all(row.bit_count() == k for row, k in Counter(self.up).items())
+
+
+def _closed(n: int, up: tuple[int, ...]) -> QuasiOrder:
+    """A QuasiOrder from rows already known to be one, without the checks."""
+    s = object.__new__(QuasiOrder)
+    setfield(s, "n", n)
+    setfield(s, "up", up)
+    return s
 
 
 def _mask(elements) -> int:
@@ -137,7 +143,7 @@ def closure(n: int, pairs) -> QuasiOrder:
         for i in range(n):
             if rows[i] & bit:
                 rows[i] |= row_k
-    return QuasiOrder(n, tuple(rows))
+    return _closed(n, tuple(rows))  # reflexive and transitive by construction
 
 
 def es_classes(s: QuasiOrder) -> tuple[tuple[int, ...], ...]:
@@ -162,12 +168,14 @@ def has_incomparable_pair(s: QuasiOrder) -> tuple[bool, tuple[int, int] | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class OmegaMultiset:
+class OmegaMultiset(Frozen):
     """Finite-support multiset over a quasi-order's carrier."""
 
-    base: QuasiOrder
-    entries: tuple[tuple[int, Mult], ...]  # sorted by element, no repeats
+    __slots__ = ("base", "entries")
+
+    def __init__(self, base: QuasiOrder, entries: tuple[tuple[int, Mult], ...]):
+        setfield(self, "base", base)
+        setfield(self, "entries", entries)  # sorted by element, no repeats
 
     @classmethod
     def of(cls, base: QuasiOrder, mults) -> "OmegaMultiset":
@@ -228,11 +236,13 @@ def cf_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     return all(up[x] & targets for x in a.support)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Frozen):
     """An explicit injective assignment: (source, target, amount) triples."""
 
-    entries: tuple[tuple[int, int, Mult], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int, Mult], ...]):
+        setfield(self, "entries", entries)
 
 
 def verify_witness(a: OmegaMultiset, b: OmegaMultiset, w: Witness) -> bool:
@@ -345,8 +355,7 @@ def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:
     return True, Witness(tuple(witness_entries))
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(Frozen):
     """The decreasing level sets of the jump iteration.
 
     `levels` holds the distinct sets only; the next iterate would repeat
@@ -354,9 +363,14 @@ class IterationTrace:
     equals it; `core` is the stable value.
     """
 
-    levels: tuple[frozenset[int], ...]
-    stabilized_at: int
-    core: frozenset[int]
+    __slots__ = ("levels", "stabilized_at", "core")
+
+    def __init__(
+        self, levels: tuple[frozenset[int], ...], stabilized_at: int, core: frozenset[int]
+    ):
+        setfield(self, "levels", levels)
+        setfield(self, "stabilized_at", stabilized_at)
+        setfield(self, "core", core)
 
 
 def iterate_levels(a: OmegaMultiset) -> IterationTrace:

@@ -14,7 +14,6 @@ that prefix is reserved and rejected for user-supplied point ids.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balltree import (
@@ -30,22 +29,23 @@ from .balltree import (
     realized_of_tree,
 )
 from .errors import InputError
+from .frozen import Frozen, setfield
 from .metric import DistanceSet, FiniteMetric
 from .rationals import exact, format_rational
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(Frozen):
     """Rooted tree as a parent array: parents[0] is None, parents[i] < i."""
 
-    parents: tuple[int | None, ...]
+    __slots__ = ("parents",)
 
-    def __post_init__(self) -> None:
-        if not self.parents or self.parents[0] is not None:
+    def __init__(self, parents: tuple[int | None, ...]):
+        if not parents or parents[0] is not None:
             raise InputError("node 0 must be the root (parent null)")
-        for i, p in enumerate(self.parents[1:], start=1):
+        for i, p in enumerate(parents[1:], start=1):
             if not isinstance(p, int) or not 0 <= p < i:
                 raise InputError(f"parent of node {i} must be an earlier node, got {p!r}")
+        setfield(self, "parents", parents)
 
     @property
     def n(self) -> int:
@@ -78,12 +78,14 @@ class RootedTree:
         return self.ranks()[0]
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Frozen):
     """Simple undirected graph: no loops, edges stored with i < j."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+        setfield(self, "n", n)
+        setfield(self, "edges", edges)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":

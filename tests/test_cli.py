@@ -181,6 +181,37 @@ def test_too_deep_input_exit_2(files, capsys):
     assert err.startswith("error: input nested too deeply")
 
 
+def test_unreadable_json_exit_2(files, tmp_path, capsys):
+    raw = tmp_path / "utf16.json"
+    raw.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "space", "canon", str(raw))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(raw) in err and "UTF-8" in err
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"n": ' + "9" * 5000 + ', "pairs": []}', encoding="utf-8")
+    code, out, err = run(capsys, "qo", "classes", str(long_int))
+    assert code == 2 and out == ""
+    assert err == f"error: {long_int}: an integer has too many digits\n"
+
+
+@pytest.mark.parametrize("n", [10**30, 2**63, 2049])
+def test_carrier_above_the_cap_exit_2(n, files, capsys):
+    order = files("qo.json", {"n": n, "pairs": []})
+    code, out, err = run(capsys, "qo", "classes", order)
+    assert code == 2 and out == ""
+    assert err == "error: qo.n: at most 2048 elements are supported\n"
+    graph = files("g.json", {"n": n, "edges": []})
+    code, out, err = run(capsys, "reduce", "graph", graph, "--edge", "1", "--nonedge", "3/2")
+    assert code == 2 and out == ""
+    assert err == "error: graph.n: at most 2048 elements are supported\n"
+
+
+def test_carrier_at_the_cap_is_accepted(files, capsys):
+    order = files("qo.json", {"n": 2048, "pairs": [[0, 2047]]})
+    code, out, _ = run(capsys, "qo", "classes", order)
+    assert code == 0 and len(json.loads(out)["classes"]) == 2048
+
+
 def test_space_embed_on_331_level_chains(files, capsys):
     def chain_doc(values):
         tree = {"leaf": "p0"}
