@@ -39,9 +39,14 @@ class BallTree(Frozen):
 
     @property
     def n_points(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.n_points for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            if node.label is None:
+                count += 1
+            else:
+                stack.extend(node.children)
+        return count
 
 
 def leaf(point: str = "p") -> BallTree:
@@ -52,7 +57,7 @@ def internal(label: Fraction, children) -> BallTree:
     """Build an internal node, enforcing the ball-tree invariants."""
     children = tuple(children)
     label = exact(label)
-    if label <= 0:
+    if label.numerator <= 0:
         raise InputError("internal label must be positive")
     if len(children) < 2:
         raise InputError("internal node needs at least 2 children")
@@ -64,11 +69,14 @@ def internal(label: Fraction, children) -> BallTree:
 
 def leaves(t: BallTree) -> list[str]:
     """Leaf point ids in tree order."""
-    if t.is_leaf:
-        return [t.point or ""]
     out: list[str] = []
-    for c in t.children:
-        out.extend(leaves(c))
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.label is None:
+            out.append(node.point or "")
+        else:
+            stack.extend(reversed(node.children))
     return out
 
 
@@ -147,28 +155,39 @@ def to_ball_tree(m: FiniteMetric) -> BallTree:
 
 def realized_of_tree(t: BallTree) -> DistanceSet:
     """Realized distances straight off the tree labels."""
-    labels: set[Fraction] = set()
-
-    def walk(node: BallTree) -> None:
-        if not node.is_leaf:
-            labels.add(node.label)
-            for c in node.children:
-                walk(c)
-
-    walk(t)
-    return DistanceSet.from_values(labels)
+    labels: list[Fraction] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node.label is not None:
+            labels.append(node.label)
+            stack.extend(node.children)
+    return DistanceSet.from_values(reversed(labels))  # children first: nearly ascending
 
 
 def chain(values, prefix: str = "") -> BallTree:
     """The space on increasing values with d(r, r') = max(r, r'): the
     left-combed chain peeling off the maximum at each level.
 
-    The point of value r is named prefix + r.
+    The point of value r is named prefix + r.  values[0] only names the
+    first point; every later value is a label, checked as `internal`
+    checks it.
     """
     values = list(values)
+    for k in range(1, len(values)):
+        v = values[k] = exact(values[k])
+        if v.numerator <= 0:
+            raise InputError("internal label must be positive")
+        if k > 1 and values[k - 1] >= v:
+            raise InputError("child labels must be strictly below the parent label")
+    return _chain(values, prefix)
+
+
+def _chain(values, prefix: str = "") -> BallTree:
+    """`chain` on values known to be positive and increasing after the first."""
     t = leaf(prefix + format_rational(values[0]))
     for v in values[1:]:
-        t = internal(v, (t, leaf(prefix + format_rational(v))))
+        t = BallTree(v, None, (t, leaf(prefix + format_rational(v))))
     return t
 
 
@@ -179,7 +198,7 @@ def canonical_space(ds: DistanceSet) -> BallTree:
     canonical: each level's children are (subtree, leaf), and a
     subtree's code starts with "(", which sorts before a leaf's "L".
     """
-    return chain(ds.values)
+    return _chain(ds.values)
 
 
 def matching_exists(xs, ys, fits) -> bool:

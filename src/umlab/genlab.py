@@ -33,7 +33,7 @@ from . import metric as mt
 from . import qo
 from . import rationals
 from . import reduce as red
-from .errors import InputError
+from .errors import InputError, SizeBoundError
 from .frozen import Frozen, setfield
 
 _MASK = (1 << 64) - 1
@@ -98,6 +98,17 @@ def _random_composition(rng: random.Random, total: int, parts: int) -> list[int]
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
+def _below(p: Fraction):
+    """The test x < p, exact in integers, for a draw x of `random()`.
+
+    `random()` returns k / 2**53 for an integer k, so x < num / den
+    exactly when k * den < num * 2**53; no Fraction is built per draw.
+    """
+    num, den = p.numerator, p.denominator
+    bound = num << 53
+    return lambda x: int(x * 9007199254740992.0) * den < bound  # 2.0**53
+
+
 def gen_qo(seed: int, n: int, density) -> qo.QuasiOrder:
     """Closure of a random pair set with the given expected density.
 
@@ -107,13 +118,13 @@ def gen_qo(seed: int, n: int, density) -> qo.QuasiOrder:
     """
     if n < 1:
         raise InputError("carrier size must be >= 1")
-    density = Fraction(density)
+    below = _below(Fraction(density))
     rng = random.Random(check_seed(seed))
     pairs = [
         (i, j)
         for i in range(n)
         for j in range(n)
-        if i != j and rng.random() < density
+        if i != j and below(rng.random())
     ]
     order = qo.closure(n, pairs)
     up = order.up
@@ -147,12 +158,12 @@ def gen_multiset(
     """
     if max_support < 1:
         raise InputError("max_support must be >= 1")
-    omega_prob = Fraction(omega_prob)
+    omega = _below(Fraction(omega_prob))
     rng = random.Random(check_seed(seed))
     k = rng.randint(1, min(max_support, base.n))
     support = sorted(rng.sample(range(base.n), k))
     mults: dict[int, qo.Mult] = {
-        x: (qo.OMEGA if rng.random() < omega_prob else rng.choice((1, 2, 3)))
+        x: (qo.OMEGA if omega(rng.random()) else rng.choice((1, 2, 3)))
         for x in support
     }
     if require_omega and not any(isinstance(m, qo.Omega) for m in mults.values()):
@@ -481,8 +492,11 @@ def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -
     """Run a registered property `trials` times with derived sub-seeds.
 
     A trial fails at its first failing check; the checks after it are
-    not run.  Aggregation is order-insensitive; a report with no
-    failures passes.
+    not run.  A trial that raises fails too, with got "TypeName:
+    message" and no inputs; `run_campaign(name, trial + 1, seed)`
+    replays it.  Only a `SizeBoundError` propagates: bounds above what
+    an oracle accepts are a usage error, not a failed trial.
+    Aggregation is order-insensitive; a report with no failures passes.
     """
     if name not in PROPERTIES:
         raise InputError(f"unknown property {name!r}; known: {', '.join(property_names())}")
@@ -494,7 +508,12 @@ def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -
     start = time.perf_counter()
     for trial in range(trials):
         rng = random.Random(derive_seed(seed, trial))
-        failure = next(filter(None, fn(trial, rng, bounds)), None)
+        try:
+            failure = next(filter(None, fn(trial, rng, bounds)), None)
+        except SizeBoundError:
+            raise
+        except Exception as exc:
+            failure = Failure(trial, {}, "no exception", f"{type(exc).__name__}: {exc}")
         if failure is not None:
             failures.append(Failure(trial, failure.inputs, failure.expected, failure.got))
     elapsed = time.perf_counter() - start

@@ -20,6 +20,7 @@ from .frozen import Frozen, setfield
 from .rationals import exact, format_rational
 
 DEFAULT_BRUTE_BOUND = 8
+_ZERO = Fraction(0)
 
 # A ball of `single_linkage`: its label and its children, where a child
 # below n is a point and n + k is the k-th ball.
@@ -41,12 +42,18 @@ class DistanceSet(Frozen):
 
     @classmethod
     def from_values(cls, values) -> "DistanceSet":
-        """Build a distance set from Fractions or ints, adding 0."""
-        vals = set(map(exact, values))
-        vals.add(Fraction(0))
-        if any(v < 0 for v in vals):
+        """Build a distance set from Fractions or ints, adding 0.
+
+        Duplicates go by (numerator, denominator): exact, since a
+        Fraction is always in lowest terms, and a tuple of ints hashes
+        far faster than a Fraction.
+        """
+        distinct = {(v.numerator, v.denominator): v for v in map(exact, values)}
+        distinct.pop((0, 1), None)
+        ordered = sorted(distinct.values())  # fewest comparisons on ascending input
+        if ordered and ordered[0].numerator < 0:
             raise InputError("distances must be nonnegative")
-        return cls(tuple(sorted(vals)))
+        return _trusted((_ZERO, *ordered))
 
     @property
     def positive(self) -> tuple[Fraction, ...]:
@@ -63,6 +70,13 @@ class DistanceSet(Frozen):
 
     def __str__(self) -> str:
         return "{" + ", ".join(format_rational(v) for v in self.values) + "}"
+
+
+def _trusted(values: tuple[Fraction, ...]) -> DistanceSet:
+    """A DistanceSet from values already known to be one, without the checks."""
+    ds = object.__new__(DistanceSet)
+    setfield(ds, "values", values)
+    return ds
 
 
 class Violation(Frozen):
@@ -217,14 +231,26 @@ def single_linkage(rows) -> tuple[Ball, ...] | None:
     n = len(rows)
     if any(rows[i][i] != 0 for i in range(n)):
         return None
-    first_seen: dict[Fraction, int] = {}
-    cells = [[first_seen.setdefault(v, len(first_seen)) for v in row] for row in rows]
-    values = sorted(first_seen)
-    if values[0] != 0:
+    index: dict[tuple[int, int], int] = {}  # (numerator, denominator) -> first-seen id
+    seen: list[Fraction] = []  # first-seen id -> value
+    cells = []
+    for row in rows:
+        cell = []
+        for v in row:
+            key = (v.numerator, v.denominator)
+            c = index.get(key)
+            if c is None:
+                c = index[key] = len(seen)
+                seen.append(v)
+            cell.append(c)
+        cells.append(cell)
+    order = sorted(range(len(seen)), key=seen.__getitem__)
+    values = [seen[c] for c in order]
+    if values[0].numerator != 0:
         return None
     rank = [0] * len(values)
-    for r, v in enumerate(values):
-        rank[first_seen[v]] = r
+    for r, c in enumerate(order):
+        rank[c] = r
     ranks = [[rank[c] for c in row] for row in cells]
     best, link, todo, edges = ranks[0][:], [0] * n, list(range(1, n)), []
     while todo:

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 from .balltree import (
     BallTree,
+    _chain,
     canonical_code,
     canonical_space,
     canonicalize,
-    chain,
     embeds,
     internal,
     leaf,
@@ -291,10 +291,10 @@ def glue_canonical(u: BallTree, ds: DistanceSet, rbar: Fraction) -> BallTree:
     if rbar not in ds:
         raise InputError("rbar must belong to the distance set")
     realized = _realized_within(u, ds)
-    if realized.positive and max(realized.positive) >= rbar:
+    if realized.positive and realized.positive[-1] >= rbar:
         raise InputError("rbar must exceed every distance of the space")
     tail = [v for v in ds.values if v != ds.positive[0]]
-    out = _node(rbar, (u, chain([v for v in tail if v <= rbar], "*")))
+    out = _node(rbar, (u, _chain([v for v in tail if v <= rbar], "*")))
     for v in tail:  # each tail value above rbar is peeled off the rest on top
         if v > rbar:
             out = internal(v, (out, leaf(f"*{format_rational(v)}")))
@@ -310,7 +310,7 @@ def add_tail(x: BallTree, ds: DistanceSet) -> BallTree:
     if len(ds) < 2:
         raise InputError("tail needs a distance set with at least 2 values")
     _realized_within(x, ds)
-    return canonicalize(_node(ds.positive[-1], (x, chain(ds.values[:-1], "*"))))
+    return canonicalize(_node(ds.positive[-1], (x, _chain(ds.values[:-1], "*"))))
 
 
 def union_at_distance(spaces, r: Fraction) -> BallTree:
@@ -325,7 +325,7 @@ def union_at_distance(spaces, r: Fraction) -> BallTree:
         raise InputError("cross distance must be positive")
     for k, s in enumerate(spaces):
         realized = realized_of_tree(s)
-        if realized.positive and max(realized.positive) >= r:
+        if realized.positive and realized.positive[-1] >= r:
             raise InputError(f"component {k} realizes a distance >= {format_rational(r)}")
     if len(spaces) == 1:
         return canonicalize(spaces[0])
@@ -436,7 +436,7 @@ def subset_space(values) -> BallTree:
     resulting spaces.
     """
     vals = list(map(exact, values))
-    if any(v <= 0 for v in vals):
+    if any(v.numerator <= 0 for v in vals):
         raise InputError("subset values must be positive")
     return canonical_space(DistanceSet.from_values(vals))
 

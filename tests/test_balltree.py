@@ -18,6 +18,7 @@ from umlab.balltree import (
     internal,
     isometric,
     leaf,
+    leaves,
     realized_of_tree,
     to_ball_tree,
 )
@@ -291,21 +292,27 @@ def perturbed(m: FiniteMetric, rng: random.Random):
         yield rows
 
 
+def as_parsed(rows):
+    """rows with every entry a fresh object, as the JSON parser makes them."""
+    return [[F(v.numerator, v.denominator) for v in row] for row in rows]
+
+
 def test_validate_fast_path_agrees_with_cubic_scan():
     rng = random.Random(5)
     outcomes = {}
     for m in ultrametric_matrices(31, 150, 14):
-        for rows in [m.rows, *perturbed(m, rng)]:
-            report = validate(rows)
-            got = (report.is_metric, report.is_ultrametric,
-                   [v.describe() for v in report.violations])
-            assert got == scan_validate(rows)
-            assert report.realized == DistanceSet.from_values(v for row in rows for v in row)
-            assert report.balls == metric.single_linkage(rows)
-            assert (report.balls is None) == (not report.is_ultrametric)
-            outcomes[got[:2]] = outcomes.get(got[:2], 0) + 1
-    assert outcomes[True, True] > 150  # every other outcome occurs too
-    assert outcomes[True, False] > 30 and outcomes[False, False] > 30
+        for shared in [m.rows, *perturbed(m, rng)]:
+            for rows in (shared, as_parsed(shared)):
+                report = validate(rows)
+                got = (report.is_metric, report.is_ultrametric,
+                       [v.describe() for v in report.violations])
+                assert got == scan_validate(rows)
+                assert report.realized == DistanceSet.from_values(v for row in rows for v in row)
+                assert report.balls == metric.single_linkage(rows)
+                assert (report.balls is None) == (not report.is_ultrametric)
+                outcomes[got[:2]] = outcomes.get(got[:2], 0) + 1
+    assert outcomes[True, True] > 300  # every other outcome occurs too
+    assert outcomes[True, False] > 60 and outcomes[False, False] > 60
 
 
 def test_to_ball_tree_matches_reference_build():
@@ -347,3 +354,35 @@ def test_embeds_on_deep_chains():
     assert embeds(chain(values), chain(values))
     assert not embeds(chain(values), chain(evens))
     assert not embeds(chain(evens + [5000]), chain(values + [4000]))
+
+
+def test_walks_on_a_5000_level_chain():
+    values = range(1, 5001)
+    t = chain(values)
+    assert t.n_points == 5000
+    assert leaves(t) == [str(v) for v in values]
+    assert realized_of_tree(t).values == (0, *values[1:])  # values[0] names a leaf only
+
+
+@pytest.mark.parametrize("values, text", [
+    ([1, 0], "internal label must be positive"),
+    ([1, 2, F(-1, 2)], "internal label must be positive"),
+    ([1, 2, 2], "child labels must be strictly below the parent label"),
+    ([1, 3, 2, -1], "child labels must be strictly below the parent label"),
+    ([1, 0, -1], "internal label must be positive"),
+])
+def test_chain_error_texts(values, text):
+    with pytest.raises(InputError) as exc:
+        chain(values)
+    assert str(exc.value) == text
+
+
+def test_chain_rejects_a_float_label_as_an_input_error():
+    with pytest.raises(InputError, match="expected a Fraction or an int, got 1.5"):
+        chain([1, 2, 1.5])
+
+
+def test_chain_first_value_only_names_a_leaf():
+    # values[0] is no label, so it is neither sign-checked nor compared
+    t = chain([5, 1, 2])
+    assert t.label == 2 and leaves(t) == ["5", "1", "2"]

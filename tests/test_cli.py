@@ -298,3 +298,19 @@ def test_format_text(files, capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["space"]) == 2
     assert main(["bogus-group"]) == 2
+
+
+def test_verify_records_a_raising_trial_instead_of_crashing(monkeypatch, capsys):
+    from umlab import balltree
+
+    monkeypatch.setattr(balltree, "embeds", lambda a, b: 1 / 0)
+    code, out, err = run(capsys, "verify", "powerset-embed", "--trials", "4")
+    assert code == 1 and err == ""
+    got = {f["got"] for f in json.loads(out)["failures"]}
+    assert got == {"ZeroDivisionError: division by zero"}
+
+
+def test_verify_bounds_above_the_oracle_bound_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "canon-vs-brute", "--trials", "50", "--max-points", "12")
+    assert code == 2 and out == ""
+    assert err.startswith("error: brute_isometric refuses spaces above 8 points")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -105,6 +106,18 @@ def test_gen_qo_density_extremes():
             (i, j) for i in range(5) for j in range(5) if order.le(i, j)
         ]
         assert closure(5, le_pairs) == order  # already closed
+
+
+def test_integer_draw_test_matches_fraction_comparison():
+    rng = random.Random(3)
+    for p in [F(0), F(1), F(3, 10), F(35, 100), F(2, 5), F(1, 3), F(0.3), F(-1, 2), F(3, 2)]:
+        below = genlab._below(p)
+        edge = p * 2**53
+        ks = {0, 2**53 - 1, *(k for k in range(int(edge) - 2, int(edge) + 3) if 0 <= k < 2**53)}
+        ks |= {rng.getrandbits(53) for _ in range(500)}
+        for k in ks:
+            x = k / 2**53
+            assert below(x) == (F(x) < p), (p, k)
 
 
 def test_gen_multiset_modes():
@@ -236,6 +249,24 @@ def test_fault_injection_is_detected(monkeypatch):
                 assert set(f.inputs) == set(keys.split()), (name, f.inputs)
             first = report.failures[0]
             assert run_campaign(name, first.trial + 1, 2024).failures[-1] == first, name
+
+
+def test_a_raising_trial_is_a_replayable_failure(monkeypatch):
+    embeds = umlab.balltree.embeds
+
+    def planted(a, b):
+        if b.n_points == 3:  # only on trials whose right set has two values
+            return 1 / 0
+        return embeds(a, b)
+
+    monkeypatch.setattr(umlab.balltree, "embeds", planted)
+    report = run_campaign("powerset-embed", 64, 9)
+    assert 0 < len(report.failures) < 64
+    first = report.failures[0]
+    assert first.got == "ZeroDivisionError: division by zero"
+    assert first.expected == "no exception" and first.inputs == {}
+    json.dumps(report.to_doc())
+    assert run_campaign("powerset-embed", first.trial + 1, 9).failures[-1] == first
 
 
 def test_campaign_bounds_are_honored():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -122,3 +123,26 @@ def test_distance_set_invariants():
         DistanceSet.from_values([F(-1)])
     ds = DistanceSet.from_values([F(2), F(1), F(1)])
     assert ds.values == (F(0), F(1), F(2))
+
+
+def test_from_values_matches_the_sorted_set():
+    rng = random.Random(11)
+    pool = [0, 1, 2, 5, F(1, 2), F(2, 4), F(3, 2), F(4, 2), F(7, 3), F(10, 5)]
+    for _ in range(300):
+        vals = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        vals += [F(v) for v in vals[: rng.randint(0, len(vals))]]  # equal, distinct objects
+        ds = DistanceSet.from_values(vals)
+        assert ds == DistanceSet(tuple(sorted(set(vals) | {0})))
+        assert all(type(v) is F for v in ds.values)
+
+
+@pytest.mark.parametrize("values, text", [
+    ([F(1), F(-1, 2)], "distances must be nonnegative"),
+    ([-3, 2], "distances must be nonnegative"),
+    ([F(-1), 1.5], "distance: expected a Fraction or an int, got 1.5"),
+    ([F(1), "2"], "distance: expected a Fraction or an int, got '2'"),
+])
+def test_from_values_error_texts(values, text):
+    with pytest.raises(InputError) as exc:
+        DistanceSet.from_values(values)
+    assert str(exc.value) == text
