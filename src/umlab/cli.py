@@ -180,8 +180,10 @@ def _space(args, fmt: str) -> int:
     if args.verb == "check":
         space = uio.parse_space(uio.load_json(args.file), require_metric=False)
         if isinstance(space, bt.BallTree):
-            space = bt.from_ball_tree(space)
-        report = mt.validate(space.rows)
+            # the parser makes labels decrease towards the leaves: an ultrametric
+            report = mt.ValidationReport(True, True, (), bt.realized_of_tree(space))
+        else:
+            report = mt.validate(space.rows)
         doc = {
             "is_metric": report.is_metric,
             "is_ultrametric": report.is_ultrametric,

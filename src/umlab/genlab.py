@@ -295,15 +295,15 @@ def _relabel_graph(rng: random.Random, g: red.Graph) -> red.Graph:
 
 def _edit_graph(rng: random.Random, g: red.Graph) -> red.Graph:
     if g.n < 2:
-        return red.Graph.from_edges(g.n + 1, list(g.edges))
+        return red.Graph(g.n + 1, g.adj + (0,))
     a = rng.randrange(g.n)
     b = rng.randrange(g.n - 1)
     if b >= a:
         b += 1
-    pair = (min(a, b), max(a, b))
-    edges = set(g.edges)
-    edges.symmetric_difference_update({pair})
-    return red.Graph.from_edges(g.n, edges)
+    adj = list(g.adj)
+    adj[a] ^= 1 << b
+    adj[b] ^= 1 << a
+    return red.Graph(g.n, tuple(adj))
 
 
 def _relabel_multiset(rng: random.Random, ms: qo.OmegaMultiset) -> qo.OmegaMultiset:

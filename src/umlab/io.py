@@ -91,7 +91,7 @@ def _parse_matrix(matrix, *, require_metric: bool) -> FiniteMetric:
         )
     for i in range(n):
         for j in range(n):
-            if rows[i][j] < 0:
+            if rows[i][j].numerator < 0:
                 raise InputError(f"space.matrix[{i}][{j}]: distances must be nonnegative")
     if require_metric:
         for i in range(n):
@@ -250,4 +250,4 @@ def parse_graph(doc) -> Graph:
 
 
 def graph_doc(g: Graph) -> dict:
-    return {"n": g.n, "edges": sorted([a, b] for a, b in g.edges)}
+    return {"n": g.n, "edges": [list(e) for e in g.edges]}

@@ -7,13 +7,13 @@ encoding, which is not ultrametric, yields a distance matrix.  Each is
 paired by the verification campaigns with the preserve/reflect law it
 must satisfy against brute-force oracles.
 
-Fresh points added by a construction get identifiers starting with "*";
-that prefix is reserved and rejected for user-supplied point ids.
+Fresh points added by a construction get identifiers starting with "*".
+Point ids serve for reporting only and are never checked for uniqueness:
+an input may use the same prefix, and a tail of a tail repeats its ids.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .balltree import (
@@ -79,29 +79,35 @@ class RootedTree(Frozen):
 
 
 class Graph(Frozen):
-    """Simple undirected graph: no loops, edges stored with i < j."""
+    """Simple undirected graph as adjacency bitset rows: bit b of adj[a]
+    is set exactly when a and b are adjacent (never bit a of adj[a])."""
 
-    __slots__ = ("n", "edges")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, edges: frozenset[tuple[int, int]]):
+    def __init__(self, n: int, adj: tuple[int, ...]):
         setfield(self, "n", n)
-        setfield(self, "edges", edges)
+        setfield(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
         if n < 1:
             raise InputError("graph needs at least one vertex")
-        edges = set()
+        adj = [0] * n
         for a, b in pairs:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"edge ({a},{b}) out of range for {n} vertices")
             if a == b:
                 raise InputError(f"loop at vertex {a}")
-            edges.add((min(a, b), max(a, b)))
-        return cls(n, frozenset(edges))
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return cls(n, tuple(adj))
 
-    def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (a, b) with a < b, in increasing order."""
+        return tuple(
+            (a, b) for a, row in enumerate(self.adj) for b in range(a + 1, self.n) if row >> b & 1
+        )
 
 
 def check_decreasing(radii) -> tuple[Fraction, ...]:
@@ -367,9 +373,7 @@ def decompose_space(x: BallTree, ds: DistanceSet) -> list[BallTree]:
 def is_trivial_graph(g: Graph) -> bool:
     """Trivial for the metric encoding: a single vertex, no edges at all,
     or a complete clique."""
-    if g.n < 2:
-        return True
-    return len(g.edges) in (0, g.n * (g.n - 1) // 2)
+    return sum(map(int.bit_count, g.adj)) in (0, g.n * (g.n - 1))
 
 
 def graph_metric(g: Graph, r: Fraction, rp: Fraction) -> FiniteMetric:
@@ -381,52 +385,39 @@ def graph_metric(g: Graph, r: Fraction, rp: Fraction) -> FiniteMetric:
     r, rp = exact(r), exact(rp)
     if not 0 < r < rp or rp > 2 * r:
         raise InputError("need 0 < r < rp <= 2r")
-    rows = [
-        [
-            Fraction(0) if i == j else (r if g.adjacent(i, j) else rp)
-            for j in range(g.n)
-        ]
-        for i in range(g.n)
-    ]
-    return FiniteMetric(g.n, tuple(tuple(row) for row in rows))
+    return FiniteMetric(g.n, tuple(
+        tuple(Fraction(0) if i == j else (r if row >> j & 1 else rp) for j in range(g.n))
+        for i, row in enumerate(g.adj)
+    ))
 
 
 def brute_graph_iso(g: Graph, h: Graph) -> bool:
-    """Oracle: search all vertex bijections preserving adjacency."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if sorted(_degrees(g)) != sorted(_degrees(h)):
-        return False
-    for perm in itertools.permutations(range(h.n)):
-        if all(
-            g.adjacent(i, j) == h.adjacent(perm[i], perm[j])
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        ):
-            return True
-    return False
-
-
-def _degrees(g: Graph) -> list[int]:
-    deg = [0] * g.n
-    for a, b in g.edges:
-        deg[a] += 1
-        deg[b] += 1
-    return deg
+    """Oracle: equal sorted degrees imply equal sizes, and between graphs
+    of equal size an induced embedding is a bijection: an isomorphism."""
+    degrees = sorted(map(int.bit_count, g.adj))
+    return degrees == sorted(map(int.bit_count, h.adj)) and brute_graph_embeds(g, h)
 
 
 def brute_graph_embeds(g: Graph, h: Graph) -> bool:
-    """Oracle: search all injections realizing g as an induced subgraph."""
-    if g.n > h.n:
-        return False
-    for image in itertools.permutations(range(h.n), g.n):
-        if all(
-            g.adjacent(i, j) == h.adjacent(image[i], image[j])
-            for i in range(g.n)
-            for j in range(i + 1, g.n)
-        ):
+    """Oracle: search all injections realizing g as an induced subgraph,
+    one vertex at a time: u may go to an unused v whose row on the image
+    so far is the image of u's row on the vertices before u."""
+    image: list[int] = []
+
+    def extend(u: int, used: int) -> bool:
+        if u == g.n:
             return True
-    return False
+        row = g.adj[u]
+        want = sum(1 << image[w] for w in range(u) if row >> w & 1)
+        for v, hrow in enumerate(h.adj):
+            if not used >> v & 1 and hrow & used == want:
+                image.append(v)
+                if extend(u + 1, used | 1 << v):
+                    return True
+                image.pop()
+        return False
+
+    return g.n <= h.n and extend(0, 0)
 
 
 def subset_space(values) -> BallTree:

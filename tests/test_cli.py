@@ -1,10 +1,15 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from umlab import qo
+from umlab.balltree import from_ball_tree, leaf
 from umlab.cli import main
-from umlab.genlab import property_names
+from umlab.genlab import gen_ball_tree, property_names
+from umlab.io import space_doc
+from umlab.metric import DistanceSet, validate
+from umlab.rationals import format_rational
 
 MATRIX_2PT = {"kind": "matrix", "matrix": [["0", "1"], ["1", "0"]]}
 TREE_2PT = {
@@ -70,6 +75,30 @@ def test_space_check_non_metric_exit_1(files, capsys):
     bad = files("bad.json", {"kind": "matrix", "matrix": [["0", "1"], ["2", "0"]]})
     code, out, _ = run(capsys, "space", "check", bad)
     assert code == 1 and json.loads(out)["is_metric"] is False
+
+
+def test_space_check_reads_a_ball_tree_off_its_labels(files, capsys):
+    """The report on a ball-tree document is the one that validating its
+    matrix gives, byte for byte, in both output formats."""
+    ds = DistanceSet.from_values([F(1, 3), F(1), F(2), F(7, 2)])
+    trees = [leaf("only")] + [gen_ball_tree(seed, ds, 1 + seed % 9) for seed in range(30)]
+    for k, tree in enumerate(trees):
+        report = validate(from_ball_tree(tree).rows)
+        assert report.is_ultrametric and not report.violations
+        expected = {
+            "is_metric": True,
+            "is_ultrametric": True,
+            "violations": [],
+            "realized": [format_rational(v) for v in report.realized],
+        }
+        path = files(f"t{k}.json", space_doc(tree))
+        code, out, _ = run(capsys, "space", "check", path)
+        assert code == 0 and out == json.dumps(expected, sort_keys=True) + "\n"
+        code, out, _ = run(capsys, "--format", "text", "space", "check", path)
+        assert code == 0 and out == "".join(
+            f"{key}: {json.dumps(value) if isinstance(value, list) else value}\n"
+            for key, value in sorted(expected.items())
+        )
 
 
 def test_space_canon_and_embed(files, capsys):
@@ -153,7 +182,8 @@ def test_reduce_theta_and_rank(files, tmp_path, capsys):
     out_file = str(tmp_path / "out.json")
     code, _, _ = run(capsys, "reduce", "theta", tree, "--radii", "3,1", "--out", out_file)
     assert code == 0
-    doc = json.loads(open(out_file).read())
+    with open(out_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
     assert doc["kind"] == "balltree" and doc["tree"]["label"] == "3"
 
     code, out, _ = run(capsys, "reduce", "rank", tree, "--radii", "0,1,2,3")

@@ -51,6 +51,41 @@ def test_matrix_asymmetry_names_the_cell():
         parse_space(doc)
 
 
+MATRIX_ERRORS = [
+    # a parse error in a later cell beats a negative entry in an earlier one
+    ([["0", "-1"], ["1", "x"]], "space.matrix[1][1]: 'x' is not a canonical rational"),
+    # a negative entry beats a bad diagonal; negatives are found row by row
+    ([["1", "1"], ["1", "-1"]], "space.matrix[1][1]: distances must be nonnegative"),
+    ([["0", "1", "1"], ["1", "0", "-2"], ["-1", "1", "0"]],
+     "space.matrix[1][2]: distances must be nonnegative"),
+    # a bad diagonal in row i beats an asymmetric pair in row i ...
+    ([["0", "1", "2"], ["1", "1", "3"], ["2", "1", "0"]], "space.matrix[1][1]: diagonal must be 0"),
+    # ... and an asymmetric pair in an earlier row beats it
+    ([["0", "1"], ["2", "1"]], "space.matrix[1][0]: must equal space.matrix[0][1]"),
+    # positivity and triangle faults come through Violation.describe()
+    ([["0", "0"], ["0", "0"]], "space.matrix: positivity violated at (0,1)"),
+    ([["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
+     "space.matrix: triangle violated at (0,1,2): 3 > 2"),
+    ([["0", "1"], ["1"]], "space.matrix[1]: expected a row of length 2"),
+    ([], "space.matrix: expected a nonempty array of rows"),
+]
+
+
+@pytest.mark.parametrize("matrix, text", MATRIX_ERRORS)
+def test_matrix_error_texts_and_which_fault_wins(matrix, text):
+    with pytest.raises(InputError) as info:
+        parse_space({"kind": "matrix", "matrix": matrix})
+    assert str(info.value) == text
+
+
+def test_matrix_without_metric_checks_only_signs():
+    with pytest.raises(InputError) as info:
+        parse_space({"kind": "matrix", "matrix": [["1", "-1"], ["2", "0"]]}, require_metric=False)
+    assert str(info.value) == "space.matrix[0][1]: distances must be nonnegative"
+    space = parse_space({"kind": "matrix", "matrix": [["1", "1"], ["2", "0"]]}, require_metric=False)
+    assert space.rows == ((F(1), F(1)), (F(2), F(0)))
+
+
 def test_non_canonical_rational_rejected():
     doc = {"kind": "matrix", "matrix": [["0", "2/4"], ["2/4", "0"]]}
     with pytest.raises(InputError, match=r"matrix\[0\]\[1\].*lowest terms"):

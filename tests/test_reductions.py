@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,7 +16,8 @@ from umlab.balltree import (
     realized_of_tree,
 )
 from umlab.errors import InputError
-from umlab.genlab import gen_ball_tree, gen_tree, mutate_pair
+from umlab.genlab import _edit_graph, gen_ball_tree, gen_tree, mutate_pair
+from umlab.io import graph_doc, parse_graph
 from umlab.metric import DistanceSet, validate
 from umlab.rationals import format_rational
 from umlab.reduce import (
@@ -467,6 +469,110 @@ def test_brute_graph_oracles():
     assert brute_graph_embeds(Graph.from_edges(2, [(0, 1)]), p3)
     # induced: a non-edge must stay a non-edge
     assert not brute_graph_embeds(Graph.from_edges(2, []), Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+# The permutation oracles that the bitset search replaced, kept as the
+# reference: every bijection (resp. injection), tested on edge sets.
+
+def _perm_search(g: Graph, h: Graph, images) -> bool:
+    ge, he = set(g.edges), set(h.edges)
+    return any(
+        all(
+            ((i, j) in ge) == ((min(p[i], p[j]), max(p[i], p[j])) in he)
+            for i in range(g.n)
+            for j in range(i + 1, g.n)
+        )
+        for p in images
+    )
+
+
+def perm_graph_iso(g: Graph, h: Graph) -> bool:
+    return g.n == h.n and len(g.edges) == len(h.edges) and _perm_search(
+        g, h, itertools.permutations(range(h.n))
+    )
+
+
+def perm_graph_embeds(g: Graph, h: Graph) -> bool:
+    return g.n <= h.n and _perm_search(g, h, itertools.permutations(range(h.n), g.n))
+
+
+def _all_graphs(max_vertices: int):
+    """Every labelled graph on 1..max_vertices vertices, with its edge list."""
+    for n in range(1, max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for k, e in enumerate(pairs) if mask >> k & 1]
+            yield Graph.from_edges(n, edges), edges
+
+
+def test_graph_rows_agree_with_edge_sets():
+    r, rp = F(2), F(3)
+    graphs = 0
+    for g, edges in _all_graphs(5):
+        graphs += 1
+        assert g.edges == tuple(edges)
+        assert parse_graph(graph_doc(g)) == g
+        assert graph_doc(g) == {"n": g.n, "edges": [list(e) for e in edges]}
+        assert Graph.from_edges(g.n, [(b, a) for a, b in reversed(edges)] + edges) == g
+        edge_set = set(edges)
+        assert graph_metric(g, r, rp).rows == tuple(
+            tuple(
+                F(0) if i == j else (r if (min(i, j), max(i, j)) in edge_set else rp)
+                for j in range(g.n)
+            )
+            for i in range(g.n)
+        )
+        assert is_trivial_graph(g) == (len(edges) in (0, g.n * (g.n - 1) // 2))
+    assert graphs == 1 + 2 + 8 + 64 + 1024
+
+
+def test_graph_oracles_agree_with_permutation_reference_up_to_4_vertices():
+    graphs = [g for g, _ in _all_graphs(4)]
+    assert len(graphs) == 75
+    seen = set()
+    for g in graphs:
+        for h in graphs:
+            iso, emb = brute_graph_iso(g, h), brute_graph_embeds(g, h)
+            assert iso == perm_graph_iso(g, h), (g, h)
+            assert emb == perm_graph_embeds(g, h), (g, h)
+            seen.add((iso, emb))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_graph_oracles_agree_with_permutation_reference_on_seeded_pairs():
+    rng = random.Random(19)
+    counts = {"iso": 0, "embeds": 0}
+    for trial in range(300):
+        n = rng.randint(5, 7)
+        h = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        if trial % 3 == 0:
+            _, g = mutate_pair(trial, h)  # a relabelled copy or a one-pair edit
+        elif trial % 3 == 1:  # an induced subgraph, relabelled
+            keep = rng.sample(range(n), rng.randint(5, n))
+            index = {v: k for k, v in enumerate(keep)}
+            g = Graph.from_edges(
+                len(keep), [(index[a], index[b]) for a, b in h.edges if a in index and b in index]
+            )
+        else:
+            m = rng.randint(5, 7)
+            g = Graph.from_edges(m, [e for e in itertools.combinations(range(m), 2) if rng.random() < 0.5])
+        iso, emb = brute_graph_iso(g, h), brute_graph_embeds(g, h)
+        assert iso == perm_graph_iso(g, h), (g, h)
+        assert emb == perm_graph_embeds(g, h), (g, h)
+        counts["iso"] += iso
+        counts["embeds"] += emb
+    assert all(50 < k < 250 for k in counts.values())  # both answers are common
+
+
+def test_edit_graph_changes_exactly_one_pair():
+    rng = random.Random(7)
+    for g, edges in _all_graphs(5):
+        edited = _edit_graph(rng, g)
+        assert Graph.from_edges(edited.n, edited.edges) == edited  # rows stay symmetric
+        if g.n == 1:
+            assert edited == Graph.from_edges(2, [])
+        else:
+            assert edited.n == g.n and len(set(edited.edges) ^ set(edges)) == 1
 
 
 def test_subset_space_examples():

@@ -59,7 +59,7 @@ def _instances():
             "IterationTrace(levels=(frozenset({0, 1}), frozenset({1})), stabilized_at=1, core=frozenset({1}))",
         ),
         (red.RootedTree((None, 0)), "RootedTree(parents=(None, 0))"),
-        (red.Graph.from_edges(3, [(0, 1)]), "Graph(n=3, edges=frozenset({(0, 1)}))"),
+        (red.Graph.from_edges(3, [(0, 1)]), "Graph(n=3, adj=(2, 1, 0))"),
         (gl.Bounds(max_points=3), "Bounds(max_nodes=None, max_points=3, max_support=None)"),
         (failure, "Failure(trial=1, inputs={'a': 1}, expected='x', got='y')"),
         (
