@@ -57,11 +57,23 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-def _require_carrier(doc: dict, where: str) -> int:
-    n = _require_int(doc.get("n"), where)
+def _parse_pairs(doc, what: str, key: str, shape: str) -> tuple[int, list]:
+    """The carrier size and the list of integer pairs of a qo or graph
+    document; range and loop faults are left to the type it builds."""
+    doc = _require_dict(doc, what)
+    n = _require_int(doc.get("n"), f"{what}.n")
     if n > MAX_CARRIER:
-        raise InputError(f"{where}: at most {MAX_CARRIER} elements are supported")
-    return n
+        raise InputError(f"{what}.n: at most {MAX_CARRIER} elements are supported")
+    pairs = doc.get(key, [])
+    if not isinstance(pairs, list):
+        raise InputError(f"{what}.{key}: expected an array of pairs")
+    for k, pair in enumerate(pairs):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InputError(f"{what}.{key}[{k}]: expected a pair {shape}")
+        for slot, v in enumerate(pair):
+            if type(v) is not int:  # the path is built only for a rejected value
+                _require_int(v, f"{what}.{key}[{k}][{slot}]")
+    return n, pairs
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +106,23 @@ def _parse_matrix(matrix, *, require_metric: bool) -> FiniteMetric:
             if rows[i][j].numerator < 0:
                 raise InputError(f"space.matrix[{i}][{j}]: distances must be nonnegative")
     if require_metric:
-        for i in range(n):
-            if rows[i][i] != 0:
-                raise InputError(f"space.matrix[{i}][{i}]: diagonal must be 0")
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError(
-                        f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
-                    )
         report = validate(rows)
         if not report.is_metric:
-            raise InputError("space.matrix: " + report.violations[0].describe())
+            raise InputError(_matrix_fault(report.violations))
     return FiniteMetric(n, tuple(tuple(r) for r in rows))
+
+
+def _matrix_fault(violations) -> str:
+    """Name the cell of the first diagonal or symmetry fault in row order
+    (the diagonal (i,i) sorts before the pairs (i,j>i)); other faults
+    keep `validate`'s first violation."""
+    cells = [v.indices for v in violations if v.kind in ("diagonal", "symmetry")]
+    if not cells:
+        return "space.matrix: " + violations[0].describe()
+    i, j = min(cells)
+    if i == j:
+        return f"space.matrix[{i}][{i}]: diagonal must be 0"
+    return f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
 
 
 def _parse_tree_node(node, path: str, parent_label: Fraction | None) -> BallTree:
@@ -160,19 +177,7 @@ def _tree_node_doc(t: BallTree) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_qo(doc) -> QuasiOrder:
-    doc = _require_dict(doc, "qo")
-    n = _require_carrier(doc, "qo.n")
-    pairs = doc.get("pairs", [])
-    if not isinstance(pairs, list):
-        raise InputError("qo.pairs: expected an array of pairs")
-    parsed = []
-    for k, pair in enumerate(pairs):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"qo.pairs[{k}]: expected a pair [i,j]")
-        i = _require_int(pair[0], f"qo.pairs[{k}][0]")
-        j = _require_int(pair[1], f"qo.pairs[{k}][1]")
-        parsed.append((i, j))
-    return closure(n, parsed)
+    return closure(*_parse_pairs(doc, "qo", "pairs", "[i,j]"))
 
 
 def qo_doc(s: QuasiOrder) -> dict:
@@ -234,19 +239,7 @@ def tree_doc(t: RootedTree) -> dict:
 
 
 def parse_graph(doc) -> Graph:
-    doc = _require_dict(doc, "graph")
-    n = _require_carrier(doc, "graph.n")
-    edges = doc.get("edges", [])
-    if not isinstance(edges, list):
-        raise InputError("graph.edges: expected an array of pairs")
-    parsed = []
-    for k, pair in enumerate(edges):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise InputError(f"graph.edges[{k}]: expected a pair [a,b]")
-        a = _require_int(pair[0], f"graph.edges[{k}][0]")
-        b = _require_int(pair[1], f"graph.edges[{k}][1]")
-        parsed.append((a, b))
-    return Graph.from_edges(n, parsed)
+    return Graph.from_edges(*_parse_pairs(doc, "graph", "edges", "[a,b]"))
 
 
 def graph_doc(g: Graph) -> dict:

@@ -11,7 +11,7 @@ import umlab.qo
 import umlab.reduce
 from umlab import genlab
 from umlab.balltree import from_ball_tree, isometric, leaf
-from umlab.errors import InputError
+from umlab.errors import InputError, SizeBoundError
 from umlab.genlab import (
     PROPERTIES,
     Bounds,
@@ -24,7 +24,7 @@ from umlab.genlab import (
     mutate_pair,
     run_campaign,
 )
-from umlab.metric import DistanceSet, TriangleAudit, validate
+from umlab.metric import DEFAULT_BRUTE_BOUND, DistanceSet, TriangleAudit, validate
 from umlab.qo import IterationTrace, Omega, closure
 from umlab.reduce import rooted_tree_iso
 
@@ -272,6 +272,20 @@ def test_a_raising_trial_is_a_replayable_failure(monkeypatch):
 def test_campaign_bounds_are_honored():
     report = run_campaign("theta-iso", 30, 7, Bounds(max_nodes=3))
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ["graph-metric-iso", "graph-metric-embed"])
+def test_graph_oracle_never_runs_above_the_brute_bound(monkeypatch, name):
+    # bounds past the metric oracle's are refused before any graph search
+    sizes = []
+    for attr in ("brute_graph_iso", "brute_graph_embeds"):
+        def recorded(g, h, _real=getattr(umlab.reduce, attr)):
+            sizes.append(max(g.n, h.n))
+            return _real(g, h)
+        monkeypatch.setattr(umlab.reduce, attr, recorded)
+    with pytest.raises(SizeBoundError):
+        run_campaign(name, 20, 0, Bounds(max_nodes=40))
+    assert max(sizes, default=0) <= DEFAULT_BRUTE_BOUND, sizes
 
 
 # Trial bounds of the acceptance suite; unlisted properties take Bounds().

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,8 +21,9 @@ from umlab.io import (
     space_to_tree,
     tree_doc,
 )
-from umlab.metric import DistanceSet, FiniteMetric
+from umlab.metric import DistanceSet, FiniteMetric, validate
 from umlab.qo import OMEGA, closure
+from umlab.rationals import parse_rational
 
 
 def test_singleton_matrix_space():
@@ -76,6 +78,60 @@ def test_matrix_error_texts_and_which_fault_wins(matrix, text):
     with pytest.raises(InputError) as info:
         parse_space({"kind": "matrix", "matrix": matrix})
     assert str(info.value) == text
+
+
+def _reference_matrix_outcome(matrix):
+    """The matrix checks in their documented order, written out in full:
+    every cell parses, then signs row by row, then the diagonal and
+    symmetry in row order, then `validate`'s first violation."""
+    n = len(matrix)
+    try:
+        rows = [[parse_rational(v, f"space.matrix[{i}][{j}]") for j, v in enumerate(row)]
+                for i, row in enumerate(matrix)]
+    except InputError as exc:
+        return str(exc)
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < 0:
+                return f"space.matrix[{i}][{j}]: distances must be nonnegative"
+    for i in range(n):
+        if rows[i][i] != 0:
+            return f"space.matrix[{i}][{i}]: diagonal must be 0"
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                return f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
+    report = validate(rows)
+    if not report.is_metric:
+        return "space.matrix: " + report.violations[0].describe()
+    return tuple(map(tuple, rows))
+
+
+def _matrix_outcome(matrix):
+    try:
+        return parse_space({"kind": "matrix", "matrix": matrix}).rows
+    except InputError as exc:
+        return str(exc)
+
+
+def test_matrix_error_texts_match_the_reference_order_on_seeded_matrices():
+    rng = random.Random(20140)
+    cells = ("0", "1", "2", "3", "1/2", "-1", "x")
+    outcomes = {}
+    for _ in range(5000):
+        n = rng.randint(1, 4)
+        matrix = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = rng.choice(cells[:5])
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            matrix[rng.randrange(n)][rng.randrange(n)] = rng.choice(cells)
+        want = _reference_matrix_outcome(matrix)
+        assert _matrix_outcome(matrix) == want, matrix
+        kind = "accepted" if isinstance(want, tuple) else want.split(": ", 1)[1].split()[0]
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    # every fault class and the accepted case are exercised
+    assert set(outcomes) == {"accepted", "'x'", "distances", "diagonal", "must",
+                             "positivity", "triangle"}, outcomes
 
 
 def test_matrix_without_metric_checks_only_signs():
@@ -146,6 +202,75 @@ def test_qo_round_trip_and_closure_on_load():
         parse_qo({"n": 2, "pairs": [[0, 5]]})
     with pytest.raises(InputError):
         parse_qo({"n": 2, "pairs": [[0]]})
+
+
+PAIR_LIST_ERRORS = [
+    ({"n": 2, "pairs": {}}, "{what}.{key}: expected an array of pairs"),
+    ({"n": 2, "pairs": "01"}, "{what}.{key}: expected an array of pairs"),
+    ({"n": 2, "pairs": [[0]]}, "{what}.{key}[0]: expected a pair {shape}"),
+    ({"n": 2, "pairs": [[0, 1], [0, 1, 1]]}, "{what}.{key}[1]: expected a pair {shape}"),
+    ({"n": 2, "pairs": [[0, 1], "01"]}, "{what}.{key}[1]: expected a pair {shape}"),
+    ({"n": 2, "pairs": [[True, 1]]}, "{what}.{key}[0][0]: expected an integer, got True"),
+    ({"n": 2, "pairs": [["0", 1]]}, "{what}.{key}[0][0]: expected an integer, got '0'"),
+    ({"n": 2, "pairs": [[0.0, 1]]}, "{what}.{key}[0][0]: expected an integer, got 0.0"),
+    ({"n": 2, "pairs": [[0, 1], [1, False]]},
+     "{what}.{key}[1][1]: expected an integer, got False"),
+    ({"n": 2, "pairs": [[0, "1"]]}, "{what}.{key}[0][1]: expected an integer, got '1'"),
+    ({"n": 2, "pairs": [[1, 1.5]]}, "{what}.{key}[0][1]: expected an integer, got 1.5"),
+    # slot 0 wins when both slots are bad
+    ({"n": 2, "pairs": [["a", 1.5]]}, "{what}.{key}[0][0]: expected an integer, got 'a'"),
+    # a later bad pair is found even after an out-of-range one
+    ({"n": 2, "pairs": [[0, 2], [0]]}, "{what}.{key}[1]: expected a pair {shape}"),
+    ({"pairs": [[0, 1]]}, "{what}.n: expected an integer, got None"),
+    ({"n": "2", "pairs": []}, "{what}.n: expected an integer, got '2'"),
+    ({"n": 2049, "pairs": [[0]]}, "{what}.n: at most 2048 elements are supported"),
+]
+PAIR_LIST_KINDS = {
+    "qo": (parse_qo, "pairs", "[i,j]", {
+        "range": "pair (0,2) out of range for carrier 2",
+        "empty": "carrier size must be >= 1",
+    }),
+    "graph": (parse_graph, "edges", "[a,b]", {
+        "range": "edge (0,2) out of range for 2 vertices",
+        "empty": "graph needs at least one vertex",
+        "loop": "loop at vertex 1",
+    }),
+}
+PAIR_LIST_LATE_ERRORS = [
+    ({"n": 2, "pairs": [[0, 1], [0, 2]]}, "range"),
+    ({"n": 0, "pairs": []}, "empty"),
+    ({"n": 0}, "empty"),
+    ({"n": 2, "pairs": [[0, 1], [1, 1]]}, "loop"),
+]
+
+
+def _pair_list_doc(what, doc):
+    key = PAIR_LIST_KINDS[what][1]
+    return {(key if k == "pairs" else k): v for k, v in doc.items()}
+
+
+def _pair_list_error(what, doc):
+    with pytest.raises(InputError) as info:
+        PAIR_LIST_KINDS[what][0](_pair_list_doc(what, doc))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("what", sorted(PAIR_LIST_KINDS))
+@pytest.mark.parametrize("doc, text", PAIR_LIST_ERRORS)
+def test_pair_list_error_texts(what, doc, text):
+    _, key, shape, _ = PAIR_LIST_KINDS[what]
+    assert _pair_list_error(what, doc) == text.format(what=what, key=key, shape=shape)
+
+
+@pytest.mark.parametrize("what", sorted(PAIR_LIST_KINDS))
+@pytest.mark.parametrize("doc, fault", PAIR_LIST_LATE_ERRORS)
+def test_pair_list_range_and_carrier_errors(what, doc, fault):
+    # range, size and loop faults are judged by closure / Graph.from_edges
+    texts = PAIR_LIST_KINDS[what][3]
+    if fault in texts:
+        assert _pair_list_error(what, doc) == texts[fault]
+    else:  # a quasi-order accepts [i,i]: it is reflexive anyway
+        assert PAIR_LIST_KINDS[what][0](_pair_list_doc(what, doc)).n == doc["n"]
 
 
 def test_multiset_round_trip():
