@@ -28,6 +28,7 @@ CanonCode = bytes
 class BallTree(Frozen):
     __slots__ = ("label", "point", "children")
 
+    # Its own __init__, built per node: without it native-large's trials_per_s fell 7%
     def __init__(self, label: Fraction | None, point: str | None, children: tuple[BallTree, ...]):
         setfield(self, "label", label)  # None at leaves
         setfield(self, "point", point)  # None at internal nodes

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / decision positive / property holds;
 1 = decision negative or property falsified (report on stdout);
-2 = input or usage error (diagnostic on stderr).
+2 = input or usage error (diagnostic on stderr);
+3 = internal error, a bug (traceback and `error: internal error: ...` on stderr).
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ def main(argv=None) -> int:
     except RecursionError:
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
         return 2
+    except Exception as exc:
+        import traceback  # here only, so start-up does not pay for it
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def _dispatch(args) -> int:

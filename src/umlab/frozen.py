@@ -2,9 +2,11 @@
 
 umlab's records were frozen dataclasses; importing `dataclasses` (and the
 `inspect` it pulls in) and generating each class's methods cost every
-CLI call about 16-20 ms of start-up.  A record now subclasses `Frozen`,
-names its fields in `__slots__` and sets them in its own `__init__` with
-`setfield(self, name, value)`.
+CLI call about 16-20 ms of start-up.  A record now subclasses `Frozen`
+and names its fields in `__slots__`; `Frozen.__init__` sets them by
+position.  Records that check their values (`DistanceSet`, `QuasiOrder`,
+`RootedTree`, `Bounds`), have a default (`ValidationReport`) or are
+built once per node (`BallTree`) keep their own `__init__` and `setfield`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,14 @@ class Frozen:
     `__slots__`, in order; fields can be neither assigned nor deleted."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            cls = type(self).__qualname__
+            raise TypeError(f"{cls} takes {len(names)} values, got {len(values)}")
+        for name, value in zip(names, values):
+            setfield(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -431,32 +431,12 @@ class Bounds(Frozen):
 class Failure(Frozen):
     __slots__ = ("trial", "inputs", "expected", "got")
 
-    def __init__(self, trial: int, inputs: dict, expected: str, got: str):
-        setfield(self, "trial", trial)
-        setfield(self, "inputs", inputs)
-        setfield(self, "expected", expected)
-        setfield(self, "got", got)
-
     def to_doc(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
 class CampaignReport(Frozen):
     __slots__ = ("prop", "trials", "seed", "failures", "elapsed_seconds")
-
-    def __init__(
-        self,
-        prop: str,
-        trials: int,
-        seed: int,
-        failures: tuple[Failure, ...],
-        elapsed_seconds: float,
-    ):
-        setfield(self, "prop", prop)
-        setfield(self, "trials", trials)
-        setfield(self, "seed", seed)
-        setfield(self, "failures", failures)
-        setfield(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def passed(self) -> bool:

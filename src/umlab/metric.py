@@ -80,16 +80,10 @@ def _trusted(values: tuple[Fraction, ...]) -> DistanceSet:
 
 
 class Violation(Frozen):
-    """One failed axiom instance: indices plus the two compared sides."""
+    """One failed axiom instance: a kind ("symmetry", "diagonal", "positivity",
+    "triangle" or "ultrametric"), indices and the two compared sides."""
 
     __slots__ = ("kind", "indices", "lhs", "rhs")
-
-    def __init__(self, kind: str, indices: tuple[int, ...], lhs: Fraction, rhs: Fraction):
-        # kind: "symmetry" | "diagonal" | "positivity" | "triangle" | "ultrametric"
-        setfield(self, "kind", kind)
-        setfield(self, "indices", indices)
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
 
     def describe(self) -> str:
         ix = ",".join(str(i) for i in self.indices)
@@ -130,10 +124,6 @@ class FiniteMetric(Frozen):
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[tuple[Fraction, ...], ...]):
-        setfield(self, "n", n)
-        setfield(self, "rows", rows)
-
     @classmethod
     def from_rows(cls, rows) -> "FiniteMetric":
         rows = _coerce_matrix(rows)
@@ -141,9 +131,6 @@ class FiniteMetric(Frozen):
         if not report.is_metric:
             raise InputError("not a metric: " + report.violations[0].describe())
         return cls(len(rows), rows)
-
-    def distance(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
 
 def _coerce_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -357,10 +344,6 @@ def is_well_spaced(ds: DistanceSet) -> bool:
 
 class TriangleAudit(Frozen):
     __slots__ = ("all_isosceles", "witness")
-
-    def __init__(self, all_isosceles: bool, witness: tuple[Fraction, Fraction, Fraction] | None):
-        setfield(self, "all_isosceles", all_isosceles)
-        setfield(self, "witness", witness)
 
 
 def triangle_audit(ds: DistanceSet) -> TriangleAudit:

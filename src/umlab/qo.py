@@ -169,13 +169,10 @@ def has_incomparable_pair(s: QuasiOrder) -> tuple[bool, tuple[int, int] | None]:
 
 
 class OmegaMultiset(Frozen):
-    """Finite-support multiset over a quasi-order's carrier."""
+    """Finite-support multiset over a quasi-order's carrier: `entries` are
+    (element, multiplicity) pairs sorted by element, no repeats."""
 
     __slots__ = ("base", "entries")
-
-    def __init__(self, base: QuasiOrder, entries: tuple[tuple[int, Mult], ...]):
-        setfield(self, "base", base)
-        setfield(self, "entries", entries)  # sorted by element, no repeats
 
     @classmethod
     def of(cls, base: QuasiOrder, mults) -> "OmegaMultiset":
@@ -240,9 +237,6 @@ class Witness(Frozen):
     """An explicit injective assignment: (source, target, amount) triples."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, int, Mult], ...]):
-        setfield(self, "entries", entries)
 
 
 def verify_witness(a: OmegaMultiset, b: OmegaMultiset, w: Witness) -> bool:
@@ -364,13 +358,6 @@ class IterationTrace(Frozen):
     """
 
     __slots__ = ("levels", "stabilized_at", "core")
-
-    def __init__(
-        self, levels: tuple[frozenset[int], ...], stabilized_at: int, core: frozenset[int]
-    ):
-        setfield(self, "levels", levels)
-        setfield(self, "stabilized_at", stabilized_at)
-        setfield(self, "core", core)
 
 
 def iterate_levels(a: OmegaMultiset) -> IterationTrace:

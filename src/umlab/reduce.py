@@ -84,10 +84,6 @@ class Graph(Frozen):
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        setfield(self, "n", n)
-        setfield(self, "adj", adj)
-
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
         if n < 1:
@@ -123,18 +119,20 @@ def check_decreasing(radii) -> tuple[Fraction, ...]:
 # Rooted tree isomorphism / embeddability, canonical and brute force.
 # ---------------------------------------------------------------------------
 
-def _ahu(t: RootedTree) -> tuple:
+def _ahu(t: RootedTree, ids: dict[tuple[int, ...], int]) -> int:
+    """The class id of t's root: bottom-up (parents[i] < i), a node's id is
+    `ids`' number for the sorted tuple of its children's ids."""
     kids = t.children()
-
-    def code(i: int) -> tuple:
-        return tuple(sorted(code(c) for c in kids[i]))
-
-    return code(0)
+    cls = [0] * t.n
+    for i in range(t.n - 1, -1, -1):
+        cls[i] = ids.setdefault(tuple(sorted([cls[c] for c in kids[i]])), len(ids))
+    return cls[0]
 
 
 def rooted_tree_iso(g: RootedTree, h: RootedTree) -> bool:
-    """Root-preserving isomorphism, decided by canonical codes."""
-    return _ahu(g) == _ahu(h)
+    """Root-preserving isomorphism, decided by shared class ids."""
+    ids: dict[tuple[int, ...], int] = {}
+    return _ahu(g, ids) == _ahu(h, ids)
 
 
 def rooted_tree_embeds(g: RootedTree, h: RootedTree) -> bool:

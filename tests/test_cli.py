@@ -344,3 +344,14 @@ def test_verify_bounds_above_the_oracle_bound_exit_2(capsys):
     code, out, err = run(capsys, "verify", "canon-vs-brute", "--trials", "50", "--max-points", "12")
     assert code == 2 and out == ""
     assert err.startswith("error: brute_isometric refuses spaces above 8 points")
+
+
+def test_internal_error_exit_3(files, capsys, monkeypatch):
+    from umlab import balltree
+
+    monkeypatch.setattr(balltree, "embeds", lambda a, b: 1 / 0)
+    a = files("a.json", MATRIX_2PT)
+    code, out, err = run(capsys, "space", "embed", a, a)
+    assert code == 3 and out == ""
+    assert "Traceback" in err
+    assert err.splitlines()[-1] == "error: internal error: ZeroDivisionError: division by zero"

@@ -66,6 +66,15 @@ def test_rooted_tree_iso_and_embeds():
     )  # three children into two
 
 
+def test_rooted_tree_iso_on_deep_paths():
+    path = RootedTree((None,) + tuple(range(4999)))
+    assert path.n == 5000
+    assert rooted_tree_iso(path, RootedTree(path.parents))
+    assert not rooted_tree_iso(path, RootedTree(path.parents + (4998,)))
+    # same size, only the shape differs: the last node hangs one level higher
+    assert not rooted_tree_iso(path, RootedTree(path.parents[:-1] + (4997,)))
+
+
 def test_tree_decisions_match_brute_force():
     rng = random.Random(11)
     for _ in range(300):

@@ -153,6 +153,19 @@ def test_defaults():
     assert report == mt.ValidationReport(True, False, (), mt.DistanceSet((F(0),)), None)
 
 
+@pytest.mark.parametrize(
+    "cls",
+    [mt.Violation, mt.FiniteMetric, mt.TriangleAudit, qo.OmegaMultiset, qo.Witness,
+     qo.IterationTrace, red.Graph, gl.Failure, gl.CampaignReport],
+)
+def test_positional_records_need_one_value_per_field(cls):
+    width = len(cls.__slots__)
+    for count in (width - 1, width + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {width} values, got {count}$"):
+            cls(*range(count))
+    assert cls(*range(width))._values() == tuple(range(width))
+
+
 @pytest.mark.parametrize("name", ["max_nodes", "max_points", "max_support"])
 def test_bounds_below_one_are_rejected(name):
     with pytest.raises(gl.InputError, match=f"^{name} must be at least 1, got 0$"):
