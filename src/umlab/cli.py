@@ -18,13 +18,19 @@ from . import genlab
 from . import io as uio
 from . import metric as mt
 from . import qo
-from . import reduce as red
 from .errors import InputError, UmlabError
 from .metric import DistanceSet
 from .rationals import format_rational, parse_rational
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(groups=None) -> argparse.ArgumentParser:
+    """The `umlab` parser, with the verbs of every group, or of the
+    groups named in `groups` only.
+
+    Every group name is registered either way, so the usage and the
+    error for a wrong group read the same; only a parse that enters a
+    group needs its verbs.
+    """
     parser = argparse.ArgumentParser(
         prog="umlab",
         description="Finite ultrametric spaces, quasi-order jumps, reductions, "
@@ -34,10 +40,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "text"), default="json", help="output format"
     )
     sub = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, add_verbs) in _GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if groups is None or name in groups:
+            add_verbs(group)
+    return parser
 
-    space = sub.add_parser("space", help="metric space decisions").add_subparsers(
-        dest="verb", required=True
-    )
+
+def _space_verbs(group: argparse.ArgumentParser) -> None:
+    space = group.add_subparsers(dest="verb", required=True)
     p = space.add_parser("check", help="validate a candidate matrix")
     p.add_argument("file")
     p = space.add_parser("canon", help="canonical code of an ultrametric space")
@@ -49,9 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    qog = sub.add_parser("qo", help="quasi-order and multiset decisions").add_subparsers(
-        dest="verb", required=True
-    )
+
+def _qo_verbs(group: argparse.ArgumentParser) -> None:
+    qog = group.add_subparsers(dest="verb", required=True)
     p = qog.add_parser("classes", help="mutual-comparability classes")
     p.add_argument("qo_file")
     p = qog.add_parser("cf", help="support-cofinality jump relation")
@@ -77,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = qog.add_parser("incomparable", help="find an incomparable pair")
     p.add_argument("qo_file")
 
-    reduce_ = sub.add_parser("reduce", help="reduction constructions").add_subparsers(
-        dest="verb", required=True
-    )
+
+def _reduce_verbs(group: argparse.ArgumentParser) -> None:
+    reduce_ = group.add_subparsers(dest="verb", required=True)
     p = reduce_.add_parser("theta", help="tree nodes with common-ancestor-depth distances")
     p.add_argument("tree")
     p.add_argument("--radii", required=True, help="strictly decreasing, comma separated")
@@ -114,15 +125,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="", help="positive values, comma separated")
     p.add_argument("--out")
 
-    p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument("property", help="registered property name")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int)
-    p.add_argument("--max-points", type=int)
-    p.add_argument("--max-support", type=int)
 
-    return parser
+def _verify_args(group: argparse.ArgumentParser) -> None:
+    group.add_argument("property", help="registered property name")
+    group.add_argument("--trials", type=int, required=True)
+    group.add_argument("--seed", type=int, default=0)
+    group.add_argument("--max-nodes", type=int)
+    group.add_argument("--max-points", type=int)
+    group.add_argument("--max-support", type=int)
+
+
+_GROUPS = {
+    "space": ("metric space decisions", _space_verbs),
+    "qo": ("quasi-order and multiset decisions", _qo_verbs),
+    "reduce": ("reduction constructions", _reduce_verbs),
+    "verify": ("run a verification campaign", _verify_args),
+}
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -151,7 +169,10 @@ def _decision(doc: dict, key: str, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # --format takes only json or text, so the first argument naming a
+    # group is the group; only its verbs are built
+    parser = build_parser([arg for arg in argv if arg in _GROUPS][:1])
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -264,6 +285,8 @@ def _qo(args, fmt: str) -> int:
 
 
 def _reduce(args, fmt: str) -> int:
+    from . import reduce as red  # here only: other verbs never load reduce
+
     verb = args.verb
     if verb == "theta":
         tree = uio.parse_tree(uio.load_json(args.tree))

@@ -24,7 +24,6 @@ from .errors import InputError
 from .metric import FiniteMetric, validate
 from .qo import OMEGA, Mult, Omega, OmegaMultiset, QuasiOrder, closure
 from .rationals import format_rational, parse_rational
-from .reduce import Graph, RootedTree
 
 MAX_CARRIER = 2048
 
@@ -221,6 +220,8 @@ def multiset_doc(ms: OmegaMultiset) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_tree(doc) -> RootedTree:
+    from .reduce import RootedTree  # here only: other verbs never load reduce
+
     doc = _require_dict(doc, "tree")
     parents = doc.get("parents")
     if not isinstance(parents, list) or not parents:
@@ -239,6 +240,8 @@ def tree_doc(t: RootedTree) -> dict:
 
 
 def parse_graph(doc) -> Graph:
+    from .reduce import Graph
+
     return Graph.from_edges(*_parse_pairs(doc, "graph", "edges", "[a,b]"))
 
 

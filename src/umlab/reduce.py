@@ -138,18 +138,40 @@ def rooted_tree_iso(g: RootedTree, h: RootedTree) -> bool:
 def rooted_tree_embeds(g: RootedTree, h: RootedTree) -> bool:
     """Root-preserving, parent-preserving injective map from g into h.
 
-    Decided by recursive bipartite matching of children.
+    Decided by bipartite matching of children, pair by pair on an
+    explicit stack, so a deep tree costs no recursion.  A leaf fits
+    anywhere.  A matching counts an undecided pair of children as not
+    fitting; if it succeeds anyway, or asked for no such pair, it is
+    decided.  Otherwise some rows of child pairs (one child of g against
+    every child of h) are decided first and it runs again: the first
+    row with undecided pairs, and as many more as the rows decided
+    already, so a pair is matched again only logarithmically often.
     """
     gk, hk = g.children(), h.children()
     memo: dict[tuple[int, int], bool] = {}
+    stack = [(0, 0)]
+    while stack:
+        u, v = stack[-1]
+        asked = False
 
-    def can(u: int, v: int) -> bool:
-        key = (u, v)
-        if key not in memo:
-            memo[key] = matching_exists(gk[u], hk[v], can)
-        return memo[key]
+        def fits(c: int, d: int) -> bool:
+            nonlocal asked
+            if not gk[c]:
+                return True
+            known = memo.get((c, d))
+            asked = asked or known is None
+            return bool(known)
 
-    return can(0, 0)
+        ok = matching_exists(gk[u], hk[v], fits)
+        if ok or not asked:
+            memo[u, v] = ok
+            stack.pop()
+            continue
+        rows = [c for c in gk[u] if gk[c]]
+        pending = [c for c in rows if any((c, d) not in memo for d in hk[v])]
+        for c in pending[: max(1, len(rows) - len(pending))]:
+            stack.extend((c, d) for d in hk[v] if (c, d) not in memo)
+    return memo[0, 0]
 
 
 def brute_rooted_iso(g: RootedTree, h: RootedTree) -> bool:

@@ -169,7 +169,7 @@ def test_every_verb_keeps_the_exit_code_contract_on_mutated_inputs(tmp_path, mon
     # Building the parser takes most of an in-process call; parse_args leaves
     # it unchanged, so the calls share one.
     parser = cli.build_parser()
-    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    monkeypatch.setattr(cli, "build_parser", lambda groups: parser)
     rng = random.Random(20141)
     codes: dict[tuple[str, ...], Counter] = {}
     for serial in range(2100):  # 105 calls per verb
@@ -184,3 +184,44 @@ def test_every_verb_keeps_the_exit_code_contract_on_mutated_inputs(tmp_path, mon
         assert seen[2] and seen[0] + seen[1], (key, seen)
     total = sum(codes.values(), Counter())
     assert total[0] and total[1] and total[2]
+
+
+# Calls that fail or stop in the parser, around the group name.
+USAGE = [
+    ["-h"],
+    ["space", "-h"],
+    ["reduce", "glue", "-h"],
+    ["bogus", "canon", "f.json"],
+    ["space", "bogus", "f.json"],
+    ["--format", "text", "qo", "classes", "f.json"],
+    ["--format=text", "space", "canon", "f.json"],
+    ["--format", "space", "canon", "f.json"],
+    ["space", "canon", "reduce"],  # a file named like a group
+    [],
+]
+
+
+def test_group_only_parser_answers_as_the_full_parser(tmp_path, monkeypatch):
+    # main builds only the verbs of the group its arguments name; the parse
+    # must print, exit and yield the same as with every verb built
+    full, build, built = cli.build_parser(), cli.build_parser, {}
+
+    def group_only(groups):
+        key = tuple(groups)
+        assert len(key) <= 1, key
+        if key not in built:
+            built[key] = build(key)
+        return built[key]
+
+    parsed: list[dict] = []
+    monkeypatch.setattr(cli, "_dispatch", lambda args: parsed.append(vars(args)) or 0)
+    rng = random.Random(20141)
+    argvs = [_argv(VERBS[serial % len(VERBS)], rng, tmp_path, serial) for serial in range(2100)]
+    for argv in [*argvs, *VERIFY, *USAGE]:
+        answers = []
+        for builder in (lambda groups: full, group_only):
+            monkeypatch.setattr(cli, "build_parser", builder)
+            parsed.clear()
+            answers.append((*_call(argv), parsed[:]))
+        assert answers[0] == answers[1], argv
+    assert set(built) == {(), ("space",), ("qo",), ("reduce",), ("verify",)}

@@ -75,6 +75,35 @@ def test_rooted_tree_iso_on_deep_paths():
     assert not rooted_tree_iso(path, RootedTree(path.parents[:-1] + (4997,)))
 
 
+def test_rooted_tree_embeds_on_deep_paths():
+    path = RootedTree((None,) + tuple(range(899)))
+    longer = RootedTree((None,) + tuple(range(4999)))
+    assert rooted_tree_embeds(path, path) and rooted_tree_embeds(longer, longer)
+    assert rooted_tree_embeds(path, longer)
+    assert not rooted_tree_embeds(longer, path)
+    # a fork one level above the bottom fits into no path
+    assert not rooted_tree_embeds(RootedTree(path.parents + (897,)), longer)
+
+
+def test_rooted_tree_embeds_matches_brute_force_up_to_8_nodes():
+    rng = random.Random(24)
+    seen = set()
+    for _ in range(1500):
+        h = gen_tree(rng.getrandbits(64), 8)
+        if rng.random() < 0.5:
+            g = gen_tree(rng.getrandbits(64), 8)
+        else:  # a subtree of h closed under parents, renumbered
+            index = {0: 0}
+            for i in range(1, h.n):
+                if h.parents[i] in index and rng.random() < 0.7:
+                    index[i] = len(index)
+            g = RootedTree(tuple(None if i == 0 else index[h.parents[i]] for i in index))
+        answer = rooted_tree_embeds(g, h)
+        assert answer == brute_rooted_embeds(g, h), (g, h)
+        seen.add(answer)
+    assert seen == {True, False}
+
+
 def test_tree_decisions_match_brute_force():
     rng = random.Random(11)
     for _ in range(300):
