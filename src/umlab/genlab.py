@@ -453,15 +453,6 @@ def property_names() -> list[str]:
     return sorted(laws.PROPERTIES)
 
 
-def __getattr__(name: str):
-    # `PROPERTIES`, the registry of `laws`, for callers that read it here
-    if name == "PROPERTIES":
-        from . import laws
-
-        return laws.PROPERTIES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_campaign(name: str, trials: int, seed: int, bounds: Bounds = Bounds()) -> CampaignReport:
     """Run a registered property `trials` times with derived sub-seeds.
 

@@ -414,8 +414,8 @@ def _prop_iterate_sanity(trial, rng, bounds):
     yield _holds(inputs, "level 0 equals support", levels[0] == frozenset(a.support), levels[0])
     yield _holds(inputs, "levels strictly decreasing until stabilization",
                  all(lo < hi for lo, hi in zip(levels[1:], levels)), levels)
-    yield _holds(inputs, "stabilization within support size",
-                 trace.stabilized_at <= len(a.support), trace.stabilized_at)
+    yield _holds(inputs, "stabilization within one step",
+                 trace.stabilized_at <= 1, trace.stabilized_at)
     # downward closed within support, which also gives class invariance
     outside = [x for level in levels for x in a.support
                if x not in level and up[x] & sum(1 << y for y in level)]
@@ -446,11 +446,8 @@ def _prop_witness_levels(trial, rng, bounds):
                  "invalid")
     ta, tb = qo.iterate_levels(a), qo.iterate_levels(b)
 
-    def stratum(trace, x):
-        for k in range(trace.stabilized_at):
-            if x in trace.levels[k] - trace.levels[k + 1]:
-                return k
-        return "core"
+    def stratum(trace, x):  # stratum 0 is the support outside the core
+        return "core" if x in trace.core else 0
 
     moved = [f"{x} ({sx}) -> {y} ({sy})" for x, y, _ in witness.entries
              if (sx := stratum(ta, x)) != (sy := stratum(tb, y))]

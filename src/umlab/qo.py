@@ -360,66 +360,76 @@ class IterationTrace(Frozen):
     __slots__ = ("levels", "stabilized_at", "core")
 
 
+def _core(a: OmegaMultiset) -> frozenset[int]:
+    """The support elements of a with an omega element of a above them."""
+    up, omegas = a.base.up, _mask(a.omega_elements())
+    return frozenset(x for x in frozenset(a.support) if up[x] & omegas)
+
+
 def iterate_levels(a: OmegaMultiset) -> IterationTrace:
     """Iteratively discard elements with only finitely many successors.
 
     A support element survives a step iff some element above it (within
     the current level) carries multiplicity omega: over finite support,
     infinitely many successors force an omega multiplicity.
+
+    The iteration stops after at most one step.  An omega element lies
+    above itself, so it survives every step; hence from the support,
+    step 1 keeps exactly the core (the elements below an omega element),
+    and step 2 keeps all of it, since the omega elements above each core
+    element are still there.  The trace is (support) at index 0 when the
+    core is the whole support, else (support, core) at index 1.
     """
-    up = a.base.up
-    omegas = _mask(a.omega_elements())
-    levels = [frozenset(a.support)]
-    while True:
-        cur = levels[-1]
-        above = omegas & _mask(cur)
-        nxt = frozenset(x for x in cur if up[x] & above)
-        if nxt == cur:
-            break
-        levels.append(nxt)
-    return IterationTrace(tuple(levels), len(levels) - 1, levels[-1])
+    support, core = frozenset(a.support), _core(a)
+    if core == support:
+        return IterationTrace((support,), 0, support)
+    return IterationTrace((support, core), 1, core)
 
 
 def einj_equivalent(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     """Mutual injective matchability, decided by the level characterization.
 
-    Four conditions: equal stabilization indices; for every element
-    outside either core, equal class masses on both sides; and mutual
-    cofinality of the cores.
+    Two conditions: for every element outside either core, equal class
+    masses on both sides; and mutual cofinality of the cores.
+
+    These imply equal stabilization indices, so that test is not made.
+    Say a's index is 1 and b's is 0: some x of a's support lies outside
+    a's core.  Its class mass in a is positive, so by the class-mass
+    condition b holds an element y equivalent to x.  All of b's support
+    is b's core, so y lies below an omega element w of b; w is in b's
+    core, so by cofinality w lies below an element of a's core, and
+    that one below an omega element of a.  Then x is in a's core, a
+    contradiction.
     """
     _check_pair(a, b)
     up = a.base.up
-    ta = iterate_levels(a)
-    tb = iterate_levels(b)
-    if ta.stabilized_at != tb.stabilized_at:
-        return False
+    core_a, core_b = _core(a), _core(b)
     for x in a.support:
-        if x not in ta.core and a.class_mass(x) != b.class_mass(x):
+        if x not in core_a and a.class_mass(x) != b.class_mass(x):
             return False
     for y in b.support:
-        if y not in tb.core and b.class_mass(y) != a.class_mass(y):
+        if y not in core_b and b.class_mass(y) != a.class_mass(y):
             return False
-    core_a, core_b = _mask(ta.core), _mask(tb.core)
-    return all(up[x] & core_b for x in ta.core) and all(up[y] & core_a for y in tb.core)
+    mask_a, mask_b = _mask(core_a), _mask(core_b)
+    return all(up[x] & mask_b for x in core_a) and all(up[y] & mask_a for y in core_b)
 
 
 def wqo_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
     """Injective matchability via the finite/infinite upper-cone split.
 
     Elements of b with no omega multiplicity above them form the finite
-    fringe F; everything of a dominated by the complement K is
-    absorbable there, and what remains must match injectively into F.
+    fringe F; everything of a dominated by the complement K (b's core)
+    is absorbable there, and what remains must match injectively into F.
     Every finite quasi-order is a wqo, so the split always applies.
     """
     _check_pair(a, b)
-    up, omegas_b = a.base.up, _mask(b.omega_elements())
-    fringe = [y for y in b.support if not up[y] & omegas_b]
-    k_part = _mask(b.support) & ~_mask(fringe)
+    up, core_b = a.base.up, _core(b)
+    k_part = _mask(core_b)
     absorbed = {x for x in a.support if up[x] & k_part}
     if any(x not in absorbed for x in a.omega_elements()):
         return False
     remaining = [(x, m) for x, m in a.finite_entries() if x not in absorbed]
-    caps = [(y, m) for y, m in b.entries if y in fringe]
+    caps = [(y, m) for y, m in b.entries if y not in core_b]
     assert all(not isinstance(c, Omega) for _, c in caps)
     placed = assign([m for _, m in remaining], [c for _, c in caps],
                     lambda i, j: up[remaining[i][0]] >> caps[j][0] & 1)
@@ -443,36 +453,26 @@ def equiv_inj_le(a: OmegaMultiset, b: OmegaMultiset) -> bool:
 
 
 def level_respecting_witness(a: OmegaMultiset, b: OmegaMultiset) -> Witness | None:
-    """For mutually matchable multisets, a witness that maps each level
-    stratum of a into the same stratum of b and core to core.
+    """For mutually matchable multisets, a witness that maps the support
+    outside the core of a into that of b and core to core.
 
-    Built stratum by stratum with separate flows; returns None when the
-    multisets are not mutually matchable (or some stratum flow fails,
-    which the campaigns treat as a falsification).
+    Built with one flow per part; returns None when the multisets are
+    not mutually matchable (or a part's flow fails, or a part of a meets
+    an empty part of b, which the campaigns treat as a falsification).
     """
     _check_pair(a, b)
     ok_ab, _ = inj_le(a, b)
     ok_ba, _ = inj_le(b, a)
     if not (ok_ab and ok_ba):
         return None
-    ta = iterate_levels(a)
-    tb = iterate_levels(b)
-    if ta.stabilized_at != tb.stabilized_at:
-        return None
+    core_a, core_b = _core(a), _core(b)
     entries: list[tuple[int, int, Mult]] = []
-    # Strata below the stabilization index are nonempty on both sides
-    # (the levels decrease strictly until they stabilize).
-    for k in range(ta.stabilized_at):
-        stratum_a = ta.levels[k] - ta.levels[k + 1]
-        stratum_b = tb.levels[k] - tb.levels[k + 1]
-        ok, witness = inj_le(a.restrict(stratum_a), b.restrict(stratum_b))
-        if not ok:
+    for part_a, part_b in ((set(a.support) - core_a, set(b.support) - core_b), (core_a, core_b)):
+        if not part_a:
+            continue
+        if not part_b:
             return None
-        entries.extend(witness.entries)
-    if ta.core:
-        if not tb.core:
-            return None
-        ok, witness = inj_le(a.restrict(ta.core), b.restrict(tb.core))
+        ok, witness = inj_le(a.restrict(part_a), b.restrict(part_b))
         if not ok:
             return None
         entries.extend(witness.entries)

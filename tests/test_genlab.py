@@ -13,7 +13,6 @@ from umlab import genlab
 from umlab.balltree import from_ball_tree, isometric, leaf
 from umlab.errors import InputError, SizeBoundError
 from umlab.genlab import (
-    PROPERTIES,
     Bounds,
     derive_seed,
     enumerate_ball_trees,
@@ -24,6 +23,7 @@ from umlab.genlab import (
     mutate_pair,
     run_campaign,
 )
+from umlab.laws import PROPERTIES
 from umlab.metric import DEFAULT_BRUTE_BOUND, DistanceSet, TriangleAudit, validate
 from umlab.qo import IterationTrace, Omega, closure
 from umlab.reduce import rooted_tree_iso

@@ -228,10 +228,12 @@ PAIR_LIST_ERRORS = [
 PAIR_LIST_KINDS = {
     "qo": (parse_qo, "pairs", "[i,j]", {
         "range": "pair (0,2) out of range for carrier 2",
+        "range-first": "pair (2,0) out of range for carrier 2",
         "empty": "carrier size must be >= 1",
     }),
     "graph": (parse_graph, "edges", "[a,b]", {
         "range": "edge (0,2) out of range for 2 vertices",
+        "range-first": "edge (2,0) out of range for 2 vertices",
         "empty": "graph needs at least one vertex",
         "loop": "loop at vertex 1",
     }),
@@ -241,6 +243,7 @@ PAIR_LIST_LATE_ERRORS = [
     ({"n": 0, "pairs": []}, "empty"),
     ({"n": 0}, "empty"),
     ({"n": 2, "pairs": [[0, 1], [1, 1]]}, "loop"),
+    ({"n": 2, "pairs": [[2, 0]]}, "range-first"),  # i == n, not only j
 ]
 
 

@@ -386,6 +386,38 @@ def test_level_respecting_witness_mutual_pair():
         assert (x in trace_a.core) == (y in trace_b.core)
 
 
+def test_level_layer_exhaustive_on_small_orders():
+    # every quasi-order on n <= 3 elements (the closures of all relations)
+    # and every multiset with multiplicities from {absent, 1, 2, omega}
+    orders = []
+    for n in (1, 2, 3):
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        ups = {closure(n, [p for k, p in enumerate(off) if mask >> k & 1]).up
+               for mask in range(1 << len(off))}
+        orders.extend(QuasiOrder(n, up) for up in sorted(ups))
+    assert len(orders) == 34
+    pairs = 0
+    for base in orders:
+        multisets = []
+        for mults in itertools.product((None, 1, 2, OMEGA), repeat=base.n):
+            if any(mults):
+                a = ms(base, {x: m for x, m in enumerate(mults) if m is not None})
+                trace = iterate_levels(a)
+                assert trace.stabilized_at <= 1
+                omegas = a.omega_elements()
+                assert trace.core == {x for x in a.support if any(base.le(x, w) for w in omegas)}
+                multisets.append((a, trace.core))
+        for (a, core_a), (b, core_b) in itertools.product(multisets, repeat=2):
+            pairs += 1
+            mutual = inj_le(a, b)[0] and inj_le(b, a)[0]
+            assert einj_equivalent(a, b) == mutual
+            if mutual:
+                witness = level_respecting_witness(a, b)
+                assert witness is not None and verify_witness(a, b, witness)
+                assert all((x in core_a) == (y in core_b) for x, y, _ in witness.entries)
+    assert pairs == 116_010
+
+
 def test_omega_arithmetic():
     assert OMEGA == OMEGA and not OMEGA < OMEGA
     assert 5 < OMEGA and OMEGA > 5 and OMEGA >= OMEGA

@@ -223,6 +223,8 @@ def test_rank_radii_validation():
         rank_ultrametric(CHAIN2, [F(1), F(2), F(3)])  # must start at 0
     with pytest.raises(InputError):
         rank_ultrametric(CHAIN2, [F(0), F(1)])  # too short
+    with pytest.raises(InputError, match="rank radii must be strictly increasing"):
+        rank_ultrametric(CHAIN2, [0, 1, 1, 2])  # a repeated radius
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +252,8 @@ def test_glue_preconditions():
         glue_canonical(internal(F(2), [leaf(), leaf()]), DS124, F(2))  # not above
     with pytest.raises(InputError):
         glue_canonical(internal(F(3), [leaf(), leaf()]), DS124, F(4))  # 3 not in set
+    with pytest.raises(InputError):
+        glue_canonical(leaf("a"), DistanceSet.from_values([]), F(0))  # fewer than 2 values
 
 
 def test_glue_preserves_and_reflects_isometry():
@@ -304,6 +308,8 @@ def test_union_examples():
     assert isometric(union_at_distance([single], F(5)), single)
     with pytest.raises(InputError):
         union_at_distance([internal(F(2), [leaf(), leaf()])], F(2))
+    with pytest.raises(InputError, match="cross distance must be positive"):
+        union_at_distance([leaf("a"), leaf("b")], F(0))
 
 
 def test_union_invariant_under_permutation():
