@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .errors import InputError, NotUltrametricError
 from .frozen import Frozen, setfield
+from .flow import assign
 from .metric import DistanceSet, FiniteMetric, validate
-from .qo import assign
 from .rationals import exact, format_rational
 
 CanonCode = bytes
@@ -204,7 +204,7 @@ def canonical_space(ds: DistanceSet) -> BallTree:
 
 def matching_exists(xs, ys, fits) -> bool:
     """Whether every x can be matched to a distinct y with fits(x, y);
-    `qo.assign` with unit needs and rooms, asking fits lazily."""
+    `flow.assign` with unit needs and rooms, asking fits lazily."""
     return assign([1] * len(xs), [1] * len(ys), lambda i, j: fits(xs[i], ys[j])) is not None
 
 

@@ -2,22 +2,22 @@
 
 Exit codes: 0 = success / decision positive / property holds;
 1 = decision negative or property falsified (report on stdout);
-2 = input or usage error (diagnostic on stderr);
+2 = input or usage error, or a stdout closed by its reader (diagnostic on stderr);
 3 = internal error, a bug (traceback and `error: internal error: ...` on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from fractions import Fraction
 
-from . import balltree as bt
 from . import genlab
 from . import io as uio
 from . import metric as mt
-from . import qo
 from .errors import InputError, UmlabError
 from .metric import DistanceSet
 from .rationals import format_rational, parse_rational
@@ -168,6 +168,9 @@ def _decision(doc: dict, key: str, fmt: str) -> int:
     return 0 if doc[key] else 1
 
 
+_CLOSED = "error: standard output was closed before the result was written"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # --format takes only json or text, so the first argument naming a
@@ -184,6 +187,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply for the recursion limit", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        print(_CLOSED, file=sys.stderr)
         return 2
     except Exception as exc:
         import traceback  # here only, so start-up does not pay for it
@@ -204,6 +210,8 @@ def _dispatch(args) -> int:
 
 
 def _space(args, fmt: str) -> int:
+    from . import balltree as bt  # here only: qo calls never compile balltree
+
     if args.verb == "check":
         space = uio.parse_space(uio.load_json(args.file), require_metric=False)
         if isinstance(space, bt.BallTree):
@@ -229,6 +237,8 @@ def _space(args, fmt: str) -> int:
 
 
 def _qo(args, fmt: str) -> int:
+    from . import qo  # here only: space and reduce calls never compile qo
+
     base = uio.parse_qo(uio.load_json(args.qo_file))
     if args.verb == "classes":
         _emit({"classes": [list(c) for c in qo.es_classes(base)]}, fmt)
@@ -351,7 +361,21 @@ def _verify(args, fmt: str) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: `main`, then a flush of stdout that a closed
+    reader turns into exit 2, then exit without the shutdown collections."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != 2:  # 2: nothing was printed, or main reported the closed pipe
+            print(_CLOSED, file=sys.stderr)
+        code = 2
+    # the process ends here: frozen objects are skipped by the collections
+    # that run at shutdown, and the exit frees the memory either way
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -11,23 +11,47 @@ negative and would under-test the positive path.
 
 The registered properties live in `laws`, which `run_campaign` and
 `property_names` import on first use, so a command other than `verify`
-never compiles them.  `reduce` too is imported only by the generators
-and mutators of rooted trees and graphs.
+never compiles them.  `balltree`, `qo` and `reduce` are bound on first
+use as well (`_OnFirstUse`): `umlab.cli` imports this module for every
+verb, and a `space` call must not compile `qo`, nor a `qo` call
+`balltree`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
-from . import balltree as bt
 from . import metric as mt
-from . import qo
 from . import rationals
 from .errors import InputError, SizeBoundError
 from .frozen import Frozen, setfield
+
+
+class _OnFirstUse:
+    """Stands for a sibling module until its first attribute access,
+    which imports the module and binds it in its place.  From then on
+    the global is the module itself, so a per-trial generator pays no
+    import statement (a function-local `from . import qo` costs 0.4-0.6
+    us a call, 2-3% of `gen_multiset`)."""
+
+    __slots__ = ("_alias", "_module")
+
+    def __init__(self, alias: str, module: str):
+        self._alias, self._module = alias, f"{__package__}.{module}"
+
+    def __getattr__(self, name: str):
+        __import__(self._module)  # shows in `python -X importtime`
+        module = globals()[self._alias] = sys.modules[self._module]
+        return getattr(module, name)
+
+
+bt = _OnFirstUse("bt", "balltree")
+qo = _OnFirstUse("qo", "qo")
+red = _OnFirstUse("red", "reduce")
 
 _MASK = (1 << 64) - 1
 
@@ -56,8 +80,6 @@ def derive_seed(seed: int, index: int) -> int:
 
 def gen_tree(seed: int, max_nodes: int) -> red.RootedTree:
     """Uniform size in [1, max_nodes]; each parent uniform among earlier nodes."""
-    from . import reduce as red  # here only: other verbs never load reduce
-
     if max_nodes < 1:
         raise InputError("max_nodes must be >= 1")
     rng = random.Random(check_seed(seed))
@@ -177,8 +199,6 @@ def mutate_pair(seed: int, x):
         return x, _relabel_tree(rng, x) if rng.random() < 0.5 else _edit_tree(rng, x)
     if isinstance(x, qo.OmegaMultiset):
         return x, _relabel_multiset(rng, x) if rng.random() < 0.5 else _edit_multiset(rng, x)
-    from . import reduce as red  # here only: other verbs never load reduce
-
     if isinstance(x, red.RootedTree):
         return x, _relabel_rooted(rng, x) if rng.random() < 0.5 else _edit_rooted(rng, x)
     if isinstance(x, red.Graph):
@@ -255,8 +275,6 @@ def _internal_count(t: bt.BallTree) -> int:
 
 
 def _relabel_rooted(rng: random.Random, t: red.RootedTree) -> red.RootedTree:
-    from . import reduce as red
-
     kids = t.children()
     parents: list[int | None] = [None]
     new_index = {0: 0}
@@ -273,8 +291,6 @@ def _relabel_rooted(rng: random.Random, t: red.RootedTree) -> red.RootedTree:
 
 
 def _edit_rooted(rng: random.Random, t: red.RootedTree) -> red.RootedTree:
-    from . import reduce as red
-
     if t.n > 1 and rng.random() < 0.5:
         kids = t.children()
         leaves_ = [i for i in range(t.n) if not kids[i] and i != 0]
@@ -287,16 +303,12 @@ def _edit_rooted(rng: random.Random, t: red.RootedTree) -> red.RootedTree:
 
 
 def _relabel_graph(rng: random.Random, g: red.Graph) -> red.Graph:
-    from . import reduce as red
-
     perm = list(range(g.n))
     rng.shuffle(perm)
     return red.Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges])
 
 
 def _edit_graph(rng: random.Random, g: red.Graph) -> red.Graph:
-    from . import reduce as red
-
     if g.n < 2:
         return red.Graph(g.n + 1, g.adj + (0,))
     a = rng.randrange(g.n)

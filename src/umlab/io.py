@@ -19,10 +19,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .balltree import BallTree, leaf, to_ball_tree
 from .errors import InputError
 from .metric import FiniteMetric, validate
-from .qo import OMEGA, Mult, Omega, OmegaMultiset, QuasiOrder, closure
 from .rationals import format_rational, parse_rational
 
 MAX_CARRIER = 2048
@@ -85,7 +83,7 @@ def parse_space(doc, *, require_metric: bool = True) -> FiniteMetric | BallTree:
     if kind == "matrix":
         return _parse_matrix(doc.get("matrix"), require_metric=require_metric)
     if kind == "balltree":
-        return _parse_tree_node(doc.get("tree"), "tree", None)
+        return _parse_ball_tree(doc.get("tree"))
     raise InputError(f"space.kind: expected 'matrix' or 'balltree', got {kind!r}")
 
 
@@ -124,33 +122,40 @@ def _matrix_fault(violations) -> str:
     return f"space.matrix[{j}][{i}]: must equal space.matrix[{i}][{j}]"
 
 
-def _parse_tree_node(node, path: str, parent_label: Fraction | None) -> BallTree:
-    node = _require_dict(node, path)
-    if "leaf" in node:
-        name = node["leaf"]
-        if not isinstance(name, str):
-            raise InputError(f"{path}.leaf: expected a string point id")
-        return leaf(name)
-    if "label" not in node or "children" not in node:
-        raise InputError(f"{path}: expected either a leaf or label+children")
-    label = parse_rational(node["label"], f"{path}.label")
-    if label <= 0:
-        raise InputError(f"{path}.label: must be positive")
-    if parent_label is not None and label >= parent_label:
-        raise InputError(f"{path}.label: must be strictly below the parent label")
-    children = node["children"]
-    if not isinstance(children, list) or len(children) < 2:
-        raise InputError(f"{path}.children: internal nodes need at least 2 children")
-    kids = tuple(
-        _parse_tree_node(c, f"{path}.children[{k}]", label) for k, c in enumerate(children)
-    )
-    return BallTree(label, None, kids)
+def _parse_ball_tree(tree) -> BallTree:
+    from .balltree import BallTree, leaf  # here only: qo calls never compile balltree
+
+    def parse_node(node, path: str, parent_label: Fraction | None) -> BallTree:
+        node = _require_dict(node, path)
+        if "leaf" in node:
+            name = node["leaf"]
+            if not isinstance(name, str):
+                raise InputError(f"{path}.leaf: expected a string point id")
+            return leaf(name)
+        if "label" not in node or "children" not in node:
+            raise InputError(f"{path}: expected either a leaf or label+children")
+        label = parse_rational(node["label"], f"{path}.label")
+        if label <= 0:
+            raise InputError(f"{path}.label: must be positive")
+        if parent_label is not None and label >= parent_label:
+            raise InputError(f"{path}.label: must be strictly below the parent label")
+        children = node["children"]
+        if not isinstance(children, list) or len(children) < 2:
+            raise InputError(f"{path}.children: internal nodes need at least 2 children")
+        kids = tuple(
+            parse_node(c, f"{path}.children[{k}]", label) for k, c in enumerate(children)
+        )
+        return BallTree(label, None, kids)
+
+    return parse_node(tree, "tree", None)
 
 
 def space_to_tree(space: FiniteMetric | BallTree) -> BallTree:
-    if isinstance(space, BallTree):
-        return space
-    return to_ball_tree(space)
+    if isinstance(space, FiniteMetric):
+        from .balltree import to_ball_tree  # here only: qo calls never compile balltree
+
+        return to_ball_tree(space)
+    return space
 
 
 def space_doc(space: FiniteMetric | BallTree) -> dict:
@@ -176,6 +181,8 @@ def _tree_node_doc(t: BallTree) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_qo(doc) -> QuasiOrder:
+    from .qo import closure  # here only: space calls never compile qo
+
     return closure(*_parse_pairs(doc, "qo", "pairs", "[i,j]"))
 
 
@@ -185,6 +192,8 @@ def qo_doc(s: QuasiOrder) -> dict:
 
 
 def parse_multiset(doc, base: QuasiOrder) -> OmegaMultiset:
+    from .qo import OMEGA, OmegaMultiset
+
     doc = _require_dict(doc, "multiset")
     mults = doc.get("mults")
     if not isinstance(mults, dict):
@@ -208,6 +217,8 @@ def parse_multiset(doc, base: QuasiOrder) -> OmegaMultiset:
 
 
 def multiset_doc(ms: OmegaMultiset) -> dict:
+    from .qo import Omega
+
     return {
         "mults": {
             str(x): ("omega" if isinstance(m, Omega) else m) for x, m in ms.entries

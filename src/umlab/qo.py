@@ -16,12 +16,12 @@ Omega arithmetic, stated once and used everywhere:
     disjoint infinite subsets).
 
 `cf_le` ignores multiplicities entirely (support-only).  `inj_le`
-decides injective matchability by the omega rule above plus `assign`,
-the augmenting-path flow that also serves every matching decision of
-the ball trees and reductions, and returns an explicit witness.  `einj_equivalent`,
-`wqo_inj_le` and `equiv_inj_le` are independently derived procedures
-that must agree with the flow decision; the agreement is what the test
-campaigns verify.
+decides injective matchability by the omega rule above plus
+`flow.assign`, the augmenting-path flow that also serves every matching
+decision of the ball trees and reductions, and returns an explicit
+witness.  `einj_equivalent`, `wqo_inj_le` and `equiv_inj_le` are
+independently derived procedures that must agree with the flow
+decision; the agreement is what the test campaigns verify.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import BaseMismatchError, InputError
+from .flow import assign
 from .frozen import Frozen, setfield
 
 
@@ -262,63 +263,6 @@ def verify_witness(a: OmegaMultiset, b: OmegaMultiset, w: Witness) -> bool:
         if any(isinstance(p, Omega) for p in parts) or sum(parts) > m:
             return False
     return all(amt == OMEGA or amt >= 1 for _, _, amt in w.entries)
-
-
-def assign(need, room, fits) -> dict[tuple[int, int], int] | None:
-    """Place need[i] units of every source i on targets j with fits(i, j),
-    at most room[j] units on target j.
-
-    Returns the units sent per (source, target) index pair, or None when
-    no such placement exists.  Sources are served in index order, each
-    by BFS augmenting paths through an implicit residual graph: forward
-    arcs where `fits` holds, backward arcs along the units already sent.
-    The flow is maximum for every prefix of sources, so the first source
-    that finds no path decides None.  `fits` is asked lazily, never for
-    a target the current search has already reached, and never for a
-    source after that first failing one.
-    """
-    if sum(need) > sum(room):
-        return None
-    load = [0] * len(room)
-    sent: list[dict[int, int]] = [{} for _ in room]  # sent[j][i]: units of i on j
-    for i, left in enumerate(need):
-        while left:
-            via: dict[int, int] = {}  # target -> source whose forward arc reached it
-            back: dict[int, int | None] = {i: None}  # source -> target it was reached from
-            queue = [i]
-            end = None
-            for s in queue:  # the queue grows while it is read
-                for j in range(len(room)):
-                    if j in via or not fits(s, j):
-                        continue
-                    via[j] = s
-                    if load[j] < room[j]:
-                        end = j
-                        break
-                    for t in sent[j]:
-                        if t not in back:
-                            back[t] = j
-                            queue.append(t)
-                if end is not None:
-                    break
-            if end is None:
-                return None
-            amount, j = min(left, room[end] - load[end]), end
-            while (prev := back[via[j]]) is not None:
-                amount = min(amount, sent[prev][via[j]])
-                j = prev
-            load[end] += amount
-            left -= amount
-            j = end
-            while j is not None:
-                s = via[j]
-                sent[j][s] = sent[j].get(s, 0) + amount
-                j = back[s]
-                if j is not None:
-                    sent[j][s] -= amount
-                    if not sent[j][s]:
-                        del sent[j][s]
-    return {(i, j): units for j, got in enumerate(sent) for i, units in got.items()}
 
 
 def inj_le(a: OmegaMultiset, b: OmegaMultiset) -> tuple[bool, Witness | None]:

@@ -137,7 +137,7 @@ def test_embeds_matches_brute_force_randomized():
 # ---------------------------------------------------------------------------
 # Reference deciders: the recursive Kuhn matcher and the `embeds` that
 # searched every internal node below v for x's label.  They share no code
-# with `qo.assign` or the label descent, so they check the fast deciders at
+# with `flow.assign` or the label descent, so they check the fast deciders at
 # sizes far beyond the brute-force bound.
 # ---------------------------------------------------------------------------
 

@@ -275,6 +275,9 @@ def test_add_tail_examples():
     x = canonical_space(DistanceSet.from_values([F(1)]))
     out = add_tail(x, ds)
     assert out.n_points == 4 and out.label == F(2)
+    # the smallest accepted set, {0, 1}: the tail is one point at distance 1
+    out = add_tail(leaf("a"), DistanceSet.from_values([F(1)]))
+    assert out.n_points == 2 and realized_of_tree(out).values == (F(0), F(1))
     with pytest.raises(InputError):
         add_tail(leaf("a"), DistanceSet.from_values([]))
 
@@ -484,6 +487,8 @@ def test_graph_metric_examples():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
     report = validate(graph_metric(path, F(1), F(3, 2)).rows)
     assert report.is_metric and not report.is_ultrametric
+    # rp = 2r is the largest accepted: the triangle r + r >= rp still holds
+    assert validate(graph_metric(path, F(1), F(2)).rows).is_metric
     with pytest.raises(InputError):
         graph_metric(path, F(1), F(3))  # rp > 2r
     with pytest.raises(InputError):
